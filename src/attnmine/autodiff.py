@@ -48,9 +48,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -60,19 +57,8 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
-        # Topological order over the tape.
         order = []
-        seen = set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        _post_order(self, set(), order)
         grads = {id(self): np.asarray(grad, dtype=np.float64)}
         for t in reversed(order):
             g = grads.pop(id(t), None)
@@ -89,6 +75,20 @@ class Tensor:
                     grads[id(parent)] = grads[id(parent)] + pg
                 else:
                     grads[id(parent)] = pg
+
+
+def _post_order(t, seen, order):
+    """Append the tape below `t` to `order`, parents before children.
+
+    Not a closure: a self-referencing one keeps the tape alive in a
+    reference cycle until the cyclic garbage collector runs.
+    """
+    if id(t) in seen:
+        return
+    seen.add(id(t))
+    for p in t._parents:
+        _post_order(p, seen, order)
+    order.append(t)
 
 
 def _as_tensor(x):

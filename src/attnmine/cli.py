@@ -9,19 +9,15 @@ one-line ``error:<category>: message`` on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .autodiff import Tensor
+from . import __version__, atomic_write_bytes
 from .evalloc import (
     EvalConfig,
     extract_bboxes,
@@ -34,7 +30,8 @@ from .evalloc import (
     write_report_csv,
 )
 from .kp import KPConfig
-from .mining import MiningConfig, write_heatmap_pgm, write_mask_pgm, run_am
+from .mining import MiningConfig, write_heatmap_pgm, write_mask_pgm
+from .mining import run_am  # noqa: F401  not called; benchmarks/spans.py wraps cli.run_am
 from .model import BackboneConfig, Network, load_checkpoint, save_checkpoint
 from .synthetic import DatasetConfig, generate_dataset, save_dataset, load_dataset
 from .train import am_finetune, mean_auc, mine_final_heatmaps, predict_logits, train_baseline
@@ -119,19 +116,6 @@ class CommandError(Exception):
         self.category = category
 
 
-def atomic_write_bytes(path, payload):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_run_manifest(out_dir, config, command):
     payload = json.dumps(asdict(config), sort_keys=True).encode()
     manifest = {
@@ -199,7 +183,7 @@ def cmd_train(args):
 def _finetune_and_mine(config, data_dir, checkpoint):
     net = load_checkpoint(checkpoint)
     _, train_images, train_labels, _ = load_dataset(data_dir / "train")
-    frozen, log = am_finetune(
+    _, log = am_finetune(
         net,
         train_images,
         train_labels,
@@ -211,22 +195,18 @@ def _finetune_and_mine(config, data_dir, checkpoint):
         shuffle_seed=config.seed,
     )
     eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval")
-    heatmaps = mine_final_heatmaps(net, eval_images, eval_labels, config.mining_config())
-    return net, frozen, log, eval_ids, eval_images, eval_labels, heatmaps
+    mined = mine_final_heatmaps(net, eval_images, eval_labels, config.mining_config())
+    return net, log, eval_ids, mined
 
 
-def _boxes_from_heatmaps(eval_ids, heatmaps, image_size, eval_config):
+def _boxes_from_heatmaps(eval_ids, mined, image_size, eval_config):
     all_boxes = []
-    per_class_ranked = {}
     for i, image_id in enumerate(eval_ids):
-        for c, hm in sorted(heatmaps.get(i, {}).items()):
+        for c, (hm, _) in sorted(mined.get(i, {}).items()):
             scale = image_size // hm.shape[0]
-            boxes, degenerate = extract_bboxes(hm, image_id, c, eval_config, scale=scale)
-            if degenerate:
-                continue
-            per_class_ranked.setdefault(c, []).append(boxes)
+            boxes, _ = extract_bboxes(hm, image_id, c, eval_config, scale=scale)
             all_boxes.extend(boxes)
-    return all_boxes, per_class_ranked
+    return all_boxes
 
 
 def cmd_mine(args):
@@ -239,25 +219,17 @@ def cmd_mine(args):
     data_dir = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net, _, log, eval_ids, eval_images, eval_labels, heatmaps = _finetune_and_mine(
-        config, data_dir, checkpoint
-    )
+    net, log, eval_ids, mined = _finetune_and_mine(config, data_dir, checkpoint)
     save_checkpoint(out / "mined.npz", net)
     hm_dir = out / "heatmaps"
     hm_dir.mkdir(exist_ok=True)
-    mining_config = config.mining_config()
-    eval_feat = net.forward_features(Tensor(eval_images[..., None])).data
     for i, image_id in enumerate(eval_ids):
-        for c, hm in sorted(heatmaps.get(i, {}).items()):
+        for c, (hm, mask) in sorted(mined.get(i, {}).items()):
             write_heatmap_pgm(hm_dir / f"{image_id}_c{c}.pgm", hm)
-            run = run_am(eval_feat[i], net.branch_weight(c).data, mining_config)
-            write_mask_pgm(hm_dir / f"{image_id}_c{c}_mask.pgm", run.masks[-1])
-    boxes, _ = _boxes_from_heatmaps(
-        eval_ids, heatmaps, config.image_size, config.eval_config()
-    )
+            write_mask_pgm(hm_dir / f"{image_id}_c{c}_mask.pgm", mask)
+    boxes = _boxes_from_heatmaps(eval_ids, mined, config.image_size, config.eval_config())
     write_predictions(out / "predictions.jsonl", boxes)
-    with open(out / "finetune_log.json", "w") as f:
-        json.dump(log, f)
+    atomic_write_bytes(out / "finetune_log.json", json.dumps(log).encode())
     write_run_manifest(out, config, "mine")
     print(f"mined {len(boxes)} boxes over {len(eval_ids)} eval images into {out}")
     return 0
@@ -290,16 +262,7 @@ def cmd_eval(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["class", "t_iou", "acc", "afp", "boxes_used"])
-    for r in rows:
-        writer.writerow(
-            [r.cls, f"{r.t_iou:.2f}", f"{r.acc:.6f}", f"{r.afp:.6f}", r.boxes_used]
-        )
-    atomic_write_bytes(report_path, buf.getvalue().encode())
+    write_report_csv(report_path, rows)
     for cls in skipped:
         print(f"notice: class {cls} has no ground truth; omitted from report")
     write_run_manifest(out, config, "eval")

@@ -10,11 +10,13 @@ average-false-positive budget is exhausted.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import atomic_write_bytes
 from .mining import flood_fill_component, normalize01
 
 __all__ = [
@@ -62,9 +64,8 @@ class EvalConfig:
     afp_upper_bound: float = 10.0
 
     def __post_init__(self):
-        if list(self.bbox_thresholds) != sorted(self.bbox_thresholds, reverse=True):
-            raise ValueError("bbox_thresholds must be strictly decreasing")
-        if len(set(self.bbox_thresholds)) != len(self.bbox_thresholds):
+        t = list(self.bbox_thresholds)
+        if any(a <= b for a, b in zip(t, t[1:])):
             raise ValueError("bbox_thresholds must be strictly decreasing")
 
 
@@ -261,10 +262,12 @@ def ground_truth_by_class(records):
 
 
 def write_report_csv(path, rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["class", "t_iou", "acc", "afp", "boxes_used"])
-        for r in rows:
-            writer.writerow(
-                [r.cls, f"{r.t_iou:.2f}", f"{r.acc:.6f}", f"{r.afp:.6f}", r.boxes_used]
-            )
+    """One CSV row per report row (csv-module line ends), written atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["class", "t_iou", "acc", "afp", "boxes_used"])
+    for r in rows:
+        writer.writerow(
+            [r.cls, f"{r.t_iou:.2f}", f"{r.acc:.6f}", f"{r.afp:.6f}", r.boxes_used]
+        )
+    atomic_write_bytes(path, buf.getvalue().encode())

@@ -103,19 +103,11 @@ def gap_drift(net_frozen, net_updating, images, layers=None):
         if images.ndim == 3:
             images = images[..., None]
     cap_a, cap_b = {}, {}
-    feat_a = net_frozen.forward_features(images, capture=cap_a)
-    feat_b = net_updating.forward_features(images, capture=cap_b)
-    cap_a["logits"] = np.stack(
-        [l.data for l in net_frozen.all_logits(feat_a)], axis=1
-    )
-    cap_b["logits"] = np.stack(
-        [l.data for l in net_updating.all_logits(feat_b)], axis=1
-    )
+    net_frozen.forward_features(images, capture=cap_a)
+    net_updating.forward_features(images, capture=cap_b)
     out = {}
     for name in layers:
-        a, b = cap_a[name], cap_b[name]
-        da = a.data if isinstance(a, Tensor) else np.asarray(a)
-        db = b.data if isinstance(b, Tensor) else np.asarray(b)
+        da, db = cap_a[name].data, cap_b[name].data
         if da.ndim == 4:
             da = da.mean(axis=(1, 2))
             db = db.mean(axis=(1, 2))

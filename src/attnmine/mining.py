@@ -75,10 +75,9 @@ def binarize_cam(heatmap, threshold=0.5):
     h = np.asarray(heatmap, dtype=np.float64)
     if not np.all(np.isfinite(h)):
         raise ValueError("heatmap contains non-finite values")
-    lo, hi = h.min(), h.max()
-    if hi == lo:
+    norm, degenerate = normalize01(h)
+    if degenerate:
         return None, None, None, True
-    norm = (h - lo) / (hi - lo)
     binary = norm >= threshold
     max_loc = np.unravel_index(int(np.argmax(h)), h.shape)
     return norm, binary, max_loc, False
@@ -197,14 +196,13 @@ def normalize01(heatmap):
 def write_heatmap_pgm(path, heatmap):
     """16-bit grayscale PGM scaled from [0,1] plus a JSON sidecar of min/max."""
     h = np.asarray(heatmap, dtype=np.float64)
-    lo, hi = float(h.min()), float(h.max())
-    norm = np.zeros_like(h) if hi == lo else (h - lo) / (hi - lo)
+    norm, _ = normalize01(h)
     q = np.round(norm * 65535).astype(">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{h.shape[1]} {h.shape[0]}\n65535\n".encode())
         f.write(q.tobytes())
     with open(str(path) + ".json", "w") as f:
-        json.dump({"min": lo, "max": hi}, f)
+        json.dump({"min": float(h.min()), "max": float(h.max())}, f)
 
 
 def read_heatmap_pgm(path):

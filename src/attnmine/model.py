@@ -177,8 +177,9 @@ class Network:
     def forward_features(self, image, capture=None):
         """Full forward to the aggregated feature map X.
 
-        When `capture` is a dict, intermediate activations used by the
-        feature-matching regularizer are stored under stable keys.
+        When `capture` is a dict, the activations and the (N, C) logits
+        used by the feature-matching regularizer are stored under stable
+        keys.
         """
         x_shallow, x_deep = self.forward_stages(image)
         if self.config.use_msa:
@@ -189,6 +190,7 @@ class Network:
             capture["stage_penultimate"] = x_shallow
             capture["stage_last"] = x_deep
             capture["aggregated"] = feat
+            capture["logits"] = ad.stack_vectors(self.all_logits(feat))
         return feat
 
     def branch_logits(self, feat, c):

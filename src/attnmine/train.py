@@ -98,7 +98,10 @@ def masks_for_batch(net, feat_data, labels, erase_steps, mining_config):
     """Per-class erasure masks for one batch, detached from the graph.
 
     For each sample and each positive class the erase-and-remine loop is
-    run `erase_steps` times; negative classes keep all-ones masks.
+    run `erase_steps` times; negative classes keep all-ones masks.  The
+    loop runs without `min_peak_ratio`, so unlike eval-time mining it
+    never stops early on a collapsed peak; the acceptance goldens pin
+    this behaviour.
     """
     n, w, h, _ = feat_data.shape
     num_classes = net.num_classes
@@ -174,10 +177,8 @@ def am_finetune(
                 if kp_config.mode == "full" and kp_idx:
                     kp_batch = Tensor(batch_images[kp_idx])
                     cap_a, cap_b = {}, {}
-                    feat_a = frozen.forward_features(kp_batch, capture=cap_a)
-                    feat_b = net.forward_features(kp_batch, capture=cap_b)
-                    cap_a["logits"] = ad.stack_vectors(frozen.all_logits(feat_a))
-                    cap_b["logits"] = ad.stack_vectors(net.all_logits(feat_b))
+                    frozen.forward_features(kp_batch, capture=cap_a)
+                    net.forward_features(kp_batch, capture=cap_b)
                     layer_losses = [
                         kp_layer_loss(cap_a[name], cap_b[name])
                         for name in kp_config.layers
@@ -199,10 +200,11 @@ def am_finetune(
 
 
 def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig):
-    """Final aggregated heatmap per image per positive class.
+    """Final aggregated heatmap and last mask per image per positive class.
 
-    Returns {image_index: {class: heatmap normalized to [0, 1]}}; classes
-    whose mining degenerates immediately are omitted.
+    Returns {image_index: {class: (heatmap normalized to [0, 1], the
+    run's last erasure mask)}}; classes whose mining degenerates
+    immediately are omitted.
     """
     labels = np.asarray(labels)
     out = {}
@@ -219,6 +221,6 @@ def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig):
             norm, degenerate = normalize01(final)
             if degenerate:
                 continue
-            per_class[c] = norm
+            per_class[c] = (norm, run.masks[-1])
         out[i] = per_class
     return out

@@ -294,7 +294,7 @@ def _second_instance_recall(net, two_instance_split, num_steps):
     eval_config = EvalConfig()
     hits = total = 0
     for idx, image_id in enumerate(ids):
-        for c, heat in heatmaps.get(idx, {}).items():
+        for c, (heat, _) in heatmaps.get(idx, {}).items():
             gts = [BBox(image_id, c, *b) for b in by_img[image_id][c]["boxes"]]
             if len(gts) < 2:
                 continue
@@ -426,7 +426,7 @@ def _localization_acc(net, use_msa):
     scale = 64 // (16 if use_msa else 8)
     per_image = {c: {} for c in range(4)}
     for idx, image_id in enumerate(ids):
-        for c, heat in heatmaps.get(idx, {}).items():
+        for c, (heat, _) in heatmaps.get(idx, {}).items():
             boxes, _ = extract_bboxes(heat, image_id, c, eval_config, scale=scale)
             per_image[c][image_id] = boxes
     accs = []

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +153,28 @@ class TestSgdStep:
         p = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError, match="shape"):
             ad.sgd_step([p], [np.zeros(2)], 0.1)
+
+
+class TestBackward:
+    def test_tape_freed_without_cycle_collector(self):
+        # once the loss is dropped, reference counting alone must free the
+        # tape: backward() may leave no reference cycle that holds it
+        rng = np.random.default_rng(0)
+        k = Tensor(rng.normal(size=(3, 3, 1, 2)), requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            feat = ad.relu(ad.conv2d(Tensor(rng.normal(size=(2, 6, 6, 1))), k))
+            ref = weakref.ref(feat)
+            loss = ad.l2_norm(ad.gap(feat))
+            del feat
+            loss.backward()
+            del loss
+            assert ref() is None
+            assert k.grad is not None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestFiniteDiffCheck:

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from attnmine.autodiff import Tensor
 from attnmine.cli import RunConfig, main
 from attnmine.evalloc import read_predictions
-from attnmine.mining import read_heatmap_pgm
+from attnmine.mining import read_heatmap_pgm, read_mask_pgm, run_am
 from attnmine.model import load_checkpoint
 from attnmine.synthetic import load_dataset
 
@@ -152,7 +153,6 @@ class TestMine:
         assert main(["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--am-steps", "1", "--out", str(out)]) == 0
         net = load_checkpoint(out / "mined.npz")
         ids, images, labels, _ = load_dataset(dataset / "eval")
-        from attnmine.autodiff import Tensor
         from attnmine.mining import compute_cam, normalize01
 
         feat = net.forward_features(Tensor(images[..., None])).data
@@ -169,6 +169,28 @@ class TestMine:
                 np.testing.assert_allclose(stored, expected, atol=2e-5)
                 checked += 1
         assert checked > 0
+
+    def test_mask_pgms_are_last_mining_masks(self, tmp_path, dataset, small_config, trained):
+        # the masks come from the mining pass that made the heatmaps; a
+        # fresh run on the mined checkpoint must reproduce each of them
+        out = tmp_path / "mine"
+        assert main(["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)]) == 0
+        config = RunConfig.load(small_config)
+        assert config.am_steps == 3
+        net = load_checkpoint(out / "mined.npz")
+        ids, images, _, _ = load_dataset(dataset / "eval")
+        feat = net.forward_features(Tensor(images[..., None])).data
+        hm_dir = out / "heatmaps"
+        masks = {p.name[: -len("_mask.pgm")] for p in hm_dir.glob("*_mask.pgm")}
+        heats = {p.stem for p in hm_dir.glob("*.pgm") if not p.name.endswith("_mask.pgm")}
+        assert masks and masks == heats
+        for i, image_id in enumerate(ids):
+            for c in range(config.num_classes):
+                path = hm_dir / f"{image_id}_c{c}_mask.pgm"
+                if not path.exists():
+                    continue
+                run = run_am(feat[i], net.branch_weight(c).data, config.mining_config())
+                np.testing.assert_array_equal(read_mask_pgm(path), run.masks[-1])
 
     def test_missing_checkpoint_rejected(self, tmp_path, dataset, small_config, capsys):
         code = main(["mine", "--config", small_config, "--checkpoint", str(tmp_path / "no.npz"), "--data", str(dataset), "--out", str(tmp_path / "m")])
