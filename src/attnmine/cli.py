@@ -70,15 +70,41 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, **overrides):
+        """Defaults, then the JSON object at `path`, then the non-None overrides.
+
+        Every value must have its default's JSON type (an int also serves
+        for a float) and make valid sub-configs; else CommandError("config").
+        """
         data = {}
         if path:
-            with open(path) as f:
-                data = json.load(f)
+            try:
+                with open(path) as f:
+                    data = json.load(f)
+            except (OSError, ValueError) as exc:
+                raise CommandError("config", f"{path}: {exc}")
+            if not isinstance(data, dict):
+                raise CommandError("config", f"{path}: config must be a JSON object")
             unknown = set(data) - set(cls.__dataclass_fields__)
             if unknown:
                 raise CommandError("config", f"unknown config keys: {sorted(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**data)
+        defaults = cls()
+        for key, value in data.items():
+            default = getattr(defaults, key)
+            if not _same_json_type(value, default):
+                kind = type(default).__name__
+                raise CommandError("config", f"{key} must be of type {kind}, not {value!r}")
+        config = cls(**data)
+        if config.batch_size < 1:
+            raise CommandError("config", "batch_size must be >= 1")
+        try:
+            config.backbone_config()
+            config.mining_config()
+            config.kp_config()
+            config.eval_config()
+        except ValueError as exc:
+            raise CommandError("config", str(exc))
+        return config
 
     def backbone_config(self):
         return BackboneConfig(
@@ -108,6 +134,17 @@ class RunConfig:
             bbox_thresholds=list(self.bbox_thresholds),
             afp_upper_bound=self.afp_upper_bound,
         )
+
+
+def _same_json_type(value, default):
+    """bool only for bool, an int also for a float, and list items like the default's first."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_json_type(v, default[0]) for v in value)
+    return isinstance(value, type(default))
 
 
 class CommandError(Exception):
@@ -180,8 +217,7 @@ def cmd_train(args):
     return 0
 
 
-def _finetune_and_mine(config, data_dir, checkpoint):
-    net = load_checkpoint(checkpoint)
+def _finetune_and_mine(config, data_dir, net):
     _, train_images, train_labels, _ = load_dataset(data_dir / "train")
     _, log = am_finetune(
         net,
@@ -196,7 +232,7 @@ def _finetune_and_mine(config, data_dir, checkpoint):
     )
     eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval")
     mined = mine_final_heatmaps(net, eval_images, eval_labels, config.mining_config())
-    return net, log, eval_ids, mined
+    return log, eval_ids, mined
 
 
 def _boxes_from_heatmaps(eval_ids, mined, image_size, eval_config):
@@ -216,10 +252,14 @@ def cmd_mine(args):
     checkpoint = Path(args.checkpoint)
     if not checkpoint.exists():
         raise CommandError("missing-input", f"checkpoint {checkpoint} not found")
+    try:
+        net = load_checkpoint(checkpoint)
+    except ValueError as exc:
+        raise CommandError("schema", str(exc))
     data_dir = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net, log, eval_ids, mined = _finetune_and_mine(config, data_dir, checkpoint)
+    log, eval_ids, mined = _finetune_and_mine(config, data_dir, net)
     save_checkpoint(out / "mined.npz", net)
     hm_dir = out / "heatmaps"
     hm_dir.mkdir(exist_ok=True)

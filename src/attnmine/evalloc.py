@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import atomic_write_bytes
+from . import atomic_write_bytes, read_jsonl, write_jsonl
 from .mining import flood_fill_component, normalize01
 
 __all__ = [
@@ -187,66 +186,38 @@ def evaluate_report(pools_by_class, gt_by_class, config: EvalConfig):
 
 def write_predictions(path, boxes):
     """JSON-lines, one record per box."""
-    with open(path, "w") as f:
-        for b in boxes:
-            rec = {
-                "image_id": b.image_id,
-                "class": b.cls,
-                "x": b.x,
-                "y": b.y,
-                "w": b.w,
-                "h": b.h,
-                "score": b.score,
-            }
-            f.write(json.dumps(rec) + "\n")
+    records = (
+        {"image_id": b.image_id, "class": b.cls, "x": b.x, "y": b.y, "w": b.w, "h": b.h,
+         "score": b.score}
+        for b in boxes
+    )
+    write_jsonl(path, records)
 
 
 def read_predictions(path):
-    boxes = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                boxes.append(
-                    BBox(
-                        str(rec["image_id"]),
-                        int(rec["class"]),
-                        int(rec["x"]),
-                        int(rec["y"]),
-                        int(rec["w"]),
-                        int(rec["h"]),
-                        float(rec.get("score", 0.0)),
-                    )
-                )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}")
-    return boxes
+    return read_jsonl(path, "prediction", _prediction)
 
 
-def write_ground_truth(path, records):
-    """JSON-lines: {image_id, class, boxes: [[x,y,w,h],...], labels: [0/1,...]}."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+def _prediction(rec):
+    coords = [int(rec[k]) for k in ("class", "x", "y", "w", "h")]
+    return BBox(str(rec["image_id"]), *coords, float(rec.get("score", 0.0)))
+
+
+# JSON-lines: {image_id, class, boxes: [[x,y,w,h],...], labels: [0/1,...]}
+write_ground_truth = write_jsonl
 
 
 def read_ground_truth(path):
-    records = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                rec["image_id"] = str(rec["image_id"])
-                rec["class"] = int(rec["class"])
-                rec["boxes"] = [[int(v) for v in b] for b in rec["boxes"]]
-                records.append(rec)
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}")
-    return records
+    return read_jsonl(path, "ground-truth", _ground_truth)
+
+
+def _ground_truth(rec):
+    rec["image_id"] = str(rec["image_id"])
+    rec["class"] = int(rec["class"])
+    rec["boxes"] = [[int(v) for v in b] for b in rec["boxes"]]
+    for x, y, w, h in rec["boxes"]:  # each box must make a BBox for ground_truth_by_class
+        BBox(rec["image_id"], rec["class"], x, y, w, h)
+    return rec
 
 
 def ground_truth_by_class(records):

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from . import atomic_write_bytes, read_jsonl, read_pgm, write_pgm
 
 __all__ = [
     "MiningConfig",
@@ -197,25 +200,16 @@ def write_heatmap_pgm(path, heatmap):
     """16-bit grayscale PGM scaled from [0,1] plus a JSON sidecar of min/max."""
     h = np.asarray(heatmap, dtype=np.float64)
     norm, _ = normalize01(h)
-    q = np.round(norm * 65535).astype(">u2")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{h.shape[1]} {h.shape[0]}\n65535\n".encode())
-        f.write(q.tobytes())
-    with open(str(path) + ".json", "w") as f:
-        json.dump({"min": float(h.min()), "max": float(h.max())}, f)
+    write_pgm(path, norm, 65535)
+    sidecar = {"min": float(h.min()), "max": float(h.max())}
+    atomic_write_bytes(f"{path}.json", json.dumps(sidecar).encode())
 
 
 def read_heatmap_pgm(path):
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM: {magic!r}")
-        cols, rows = map(int, f.readline().split())
-        maxval = int(f.readline())
-        q = np.frombuffer(f.read(), dtype=">u2").reshape(rows, cols).astype(np.float64)
-    with open(str(path) + ".json") as f:
-        meta = json.load(f)
-    return q / maxval * (meta["max"] - meta["min"]) + meta["min"]
+    [(lo, hi)] = read_jsonl(
+        f"{path}.json", "heatmap range", lambda m: (float(m["min"]), float(m["max"]))
+    )
+    return read_pgm(path) * (hi - lo) + lo
 
 
 def write_mask_pgm(path, mask):
@@ -224,19 +218,15 @@ def write_mask_pgm(path, mask):
     if not np.all((m == 0) | (m == 1)):
         raise ValueError("mask must be binary")
     lines = [f"P2\n{m.shape[1]} {m.shape[0]}\n1"]
-    for row in m.astype(int):
-        lines.append(" ".join(map(str, row)))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    lines += [" ".join(map(str, row)) for row in m.astype(int)]
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_mask_pgm(path):
-    with open(path) as f:
-        tokens = f.read().split()
-    if tokens[0] != "P2":
-        raise ValueError(f"not an ASCII PGM: {tokens[0]!r}")
+    tokens = Path(path).read_text().split()
+    if tokens[:1] != ["P2"] or len(tokens) < 4:
+        raise ValueError(f"{path}: not an ASCII PGM")
     cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 1:
         raise ValueError("mask PGM must have maxval 1")
-    vals = np.array(tokens[4:], dtype=np.float64).reshape(rows, cols)
-    return vals
+    return np.array(tokens[4:], dtype=np.float64).reshape(rows, cols)

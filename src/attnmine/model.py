@@ -9,11 +9,14 @@ class owns a bias-free weight vector applied to the GAP feature of the
 
 from __future__ import annotations
 
+import io
+import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
+from . import atomic_write_bytes, autodiff as ad
 from .autodiff import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -247,28 +250,33 @@ def save_checkpoint(path, network):
         "num_classes": network.config.num_classes,
         "use_msa": int(network.config.use_msa),
     }
-    import json
-
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    buf = io.BytesIO()
+    np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def load_checkpoint(path):
-    import json
-
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format version {meta['format_version']}"
+    """The network a checkpoint holds; a file that is not one raises ValueError."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported checkpoint format version {meta['format_version']}"
+                )
+            config = BackboneConfig(
+                stage_channels=list(meta["stage_channels"]),
+                stage_strides=list(meta["stage_strides"]),
+                msa_reduced_channels=tuple(meta["msa_reduced_channels"]),
+                num_classes=meta["num_classes"],
+                use_msa=bool(meta["use_msa"]),
             )
-        config = BackboneConfig(
-            stage_channels=list(meta["stage_channels"]),
-            stage_strides=list(meta["stage_strides"]),
-            msa_reduced_channels=tuple(meta["msa_reduced_channels"]),
-            num_classes=meta["num_classes"],
-            use_msa=bool(meta["use_msa"]),
-        )
-        net = Network(config, seed=0)
-        for k in net.params:
-            net.params[k] = Tensor(data[k].astype(np.float64), requires_grad=True)
+            net = Network(config, seed=0)
+            for k, p in net.params.items():
+                stored = data[k]
+                if stored.shape != p.data.shape:
+                    raise ValueError(f"{k} has shape {stored.shape}, expected {p.data.shape}")
+                net.params[k] = Tensor(stored.astype(np.float64), requires_grad=True)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None
     return net

@@ -10,11 +10,13 @@ tight around each pattern's half-max support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from . import evalloc, write_pgm
+from . import read_pgm as read_image_pgm
 
 __all__ = ["DatasetConfig", "generate_dataset", "write_image_pgm", "read_image_pgm"]
 
@@ -150,41 +152,22 @@ def generate_dataset(seed, count, config: DatasetConfig):
 
 def write_image_pgm(path, image):
     """8-bit grayscale binary PGM from a [0,1] image."""
-    q = np.round(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{q.shape[1]} {q.shape[0]}\n255\n".encode())
-        f.write(q.tobytes())
-
-
-def read_image_pgm(path):
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM: {magic!r}")
-        cols, rows = map(int, f.readline().split())
-        maxval = int(f.readline())
-        q = np.frombuffer(f.read(), dtype=np.uint8).reshape(rows, cols)
-    return q.astype(np.float64) / maxval
+    write_pgm(path, image, 255)
 
 
 def save_dataset(out_dir, images, manifest):
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     img_dir = out_dir / "images"
-    img_dir.mkdir(exist_ok=True)
+    img_dir.mkdir(parents=True, exist_ok=True)
     ids = sorted({rec["image_id"] for rec in manifest})
     for idx, image_id in enumerate(ids):
         write_image_pgm(img_dir / f"{image_id}.pgm", images[idx])
-    with open(out_dir / "manifest.jsonl", "w") as f:
-        for rec in manifest:
-            f.write(json.dumps(rec) + "\n")
+    evalloc.write_ground_truth(out_dir / "manifest.jsonl", manifest)
 
 
 def load_dataset(data_dir):
-    from .evalloc import read_ground_truth
-
     data_dir = Path(data_dir)
-    manifest = read_ground_truth(data_dir / "manifest.jsonl")
+    manifest = evalloc.read_ground_truth(data_dir / "manifest.jsonl")
     ids = sorted({rec["image_id"] for rec in manifest})
     images = np.stack(
         [read_image_pgm(data_dir / "images" / f"{iid}.pgm") for iid in ids]

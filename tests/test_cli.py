@@ -1,17 +1,21 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attnmine.autodiff import Tensor
 from attnmine.cli import RunConfig, main
-from attnmine.evalloc import read_predictions
+from attnmine.evalloc import read_ground_truth, read_predictions
 from attnmine.mining import read_heatmap_pgm, read_mask_pgm, run_am
 from attnmine.model import load_checkpoint
-from attnmine.synthetic import load_dataset
+from attnmine.synthetic import load_dataset, read_image_pgm
 
 # a deliberately tiny configuration so pipeline tests stay fast
 SMALL = {
@@ -55,6 +59,27 @@ class TestRunConfig:
         assert main(["gen-data", "--config", small_config, "--seed", "5", "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"epochs": 10',
+            "[1, 2]",
+            '{"epochs": "ten"}',
+            '{"epochs": 10.0}',
+            '{"use_msa": 1}',
+            '{"lr": true}',
+            '{"stage_channels": [8, "16", 32, 64]}',
+            '{"kp_mode": "bogus"}',
+            '{"batch_size": 0}',
+        ],
+    )
+    def test_bad_config_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: ") and err.count("\n") == 1
 
 
 class TestGenData:
@@ -192,6 +217,16 @@ class TestMine:
                 run = run_am(feat[i], net.branch_weight(c).data, config.mining_config())
                 np.testing.assert_array_equal(read_mask_pgm(path), run.masks[-1])
 
+    def test_truncated_checkpoint_rejected(self, tmp_path, dataset, small_config, trained, capsys):
+        checkpoint = tmp_path / "truncated.npz"
+        checkpoint.write_bytes(trained.read_bytes()[:1000])
+        out = tmp_path / "m"
+        code = main(["mine", "--config", small_config, "--checkpoint", str(checkpoint), "--data", str(dataset), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and str(checkpoint) in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_checkpoint_rejected(self, tmp_path, dataset, small_config, capsys):
         code = main(["mine", "--config", small_config, "--checkpoint", str(tmp_path / "no.npz"), "--data", str(dataset), "--out", str(tmp_path / "m")])
         assert code == 2
@@ -243,6 +278,92 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:schema" in err
         assert ":1:" in err
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("pred", "[]"),
+            ("pred", "1"),
+            ("pred", "null"),
+            ("pred", '{"image_id": "a", "class": [0], "x": 1, "y": 1, "w": 2, "h": 2}'),
+            ("gt", "[]"),
+            ("gt", '{"image_id": "a", "class": 0, "boxes": [0], "labels": [1]}'),
+            ("gt", '{"image_id": "a", "class": 0, "boxes": [[0, 0, 4]], "labels": [1]}'),
+            ("gt", '{"image_id": "a", "class": 0, "boxes": [[0, 0, 0, 4]], "labels": [1]}'),
+        ],
+    )
+    def test_unreadable_record_is_schema_error(self, tmp_path, capsys, name, line):
+        paths = {"gt": tmp_path / "gt.jsonl", "pred": tmp_path / "pred.jsonl"}
+        self._write_jsonl(paths["gt"], [{"image_id": "a", "class": 0, "boxes": [[0, 0, 4, 4]], "labels": [1]}])
+        paths["pred"].write_text("")
+        paths[name].write_text(line + "\n")
+        code = main(["eval", "--predictions", str(paths["pred"]), "--ground-truth", str(paths["gt"]), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error:schema: {paths[name]}:1: ")
+
+
+# record keys of every JSON format the readers parse, so that generated
+# objects reach the field conversions and not only the key lookups
+RECORD_KEYS = ["image_id", "class", "x", "y", "w", "h", "score", "boxes", "labels", "min", "max"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(RECORD_KEYS), inner, max_size=8),
+    max_leaves=12,
+)
+HEADERS = [b"P5\n", b"P5\n2 1\n255\n", b"P5\n1 1\n65535\n", b"P2\n", b"P2\n2 1\n1\n"]
+FILE_BYTES = st.one_of(
+    st.binary(max_size=32),
+    st.tuples(st.sampled_from(HEADERS), st.binary(max_size=4)).map(b"".join),
+    st.tuples(st.sampled_from(HEADERS), st.text("01 -\n", max_size=6)).map(
+        lambda t: t[0] + t[1].encode()
+    ),
+    st.lists(JSON_VALUES.map(lambda v: json.dumps(v).encode()), max_size=3).map(b"\n".join),
+)
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "reader",
+        [read_heatmap_pgm, read_mask_pgm, read_image_pgm, read_predictions, read_ground_truth],
+        ids=lambda f: f.__name__,
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=FILE_BYTES, sidecar=FILE_BYTES)
+    def test_arbitrary_bytes_read_or_raise_value_error(self, tmp_path, reader, payload, sidecar):
+        # the heatmap reader also reads a JSON sidecar beside its PGM
+        path = tmp_path / "f.pgm"
+        path.write_bytes(payload)
+        Path(f"{path}.json").write_bytes(sidecar)
+        try:
+            reader(path)
+        except ValueError:
+            pass
+
+
+class TestAtomicOutputs:
+    def test_every_output_renamed_into_place_with_umask_mode(self, tmp_path, small_config, monkeypatch):
+        placed = set()
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            replace(src, dst)
+            placed.add(Path(dst))
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        data, model, mine, ev = (tmp_path / name for name in ("data", "model", "mine", "eval"))
+        umask = os.umask(0o027)
+        try:
+            assert main(["gen-data", "--config", small_config, "--out", str(data)]) == 0
+            assert main(["train", "--config", small_config, "--data", str(data), "--out", str(model)]) == 0
+            assert main(["mine", "--config", small_config, "--checkpoint", str(model / "baseline.npz"), "--data", str(data), "--out", str(mine)]) == 0
+            assert main(["eval", "--config", small_config, "--predictions", str(mine / "predictions.jsonl"), "--ground-truth", str(data / "eval" / "manifest.jsonl"), "--out", str(ev)]) == 0
+        finally:
+            os.umask(umask)
+        files = {p for tree in (data, model, mine, ev) for p in tree.rglob("*") if p.is_file()}
+        assert any(p.name.endswith("_mask.pgm") for p in files)
+        assert sorted(files - placed) == []
+        assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(0o666 & ~0o027)}
 
 
 class TestEntryPoint:
