@@ -73,7 +73,9 @@ class RunConfig:
         """Defaults, then the JSON object at `path`, then the non-None overrides.
 
         Every value must have its default's JSON type (an int also serves
-        for a float) and make valid sub-configs; else CommandError("config").
+        for a float) and make valid sub-configs, and `image_size` must be a
+        positive multiple of the backbone's stride product; else
+        CommandError("config").
         """
         data = {}
         if path:
@@ -98,12 +100,15 @@ class RunConfig:
         if config.batch_size < 1:
             raise CommandError("config", "batch_size must be >= 1")
         try:
-            config.backbone_config()
+            stride = config.backbone_config().stride_product
             config.mining_config()
             config.kp_config()
             config.eval_config()
         except ValueError as exc:
             raise CommandError("config", str(exc))
+        if config.image_size < 1 or config.image_size % stride:
+            message = f"image_size must be a positive multiple of {stride}, not {config.image_size}"
+            raise CommandError("config", message)
         return config
 
     def backbone_config(self):
@@ -192,12 +197,12 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     config = RunConfig.load(args.config, seed=args.seed)
-    data_dir = Path(args.data)
-    if not (data_dir / "train" / "manifest.jsonl").exists():
-        raise CommandError("missing-input", f"no train split under {data_dir}")
+    try:
+        _, images, labels, _ = load_dataset(Path(args.data) / "train")
+    except ValueError as exc:
+        raise CommandError("schema", str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, images, labels, _ = load_dataset(data_dir / "train")
     net = Network(config.backbone_config(), seed=config.seed)
     history = train_baseline(
         net,
@@ -217,8 +222,19 @@ def cmd_train(args):
     return 0
 
 
-def _finetune_and_mine(config, data_dir, net):
-    _, train_images, train_labels, _ = load_dataset(data_dir / "train")
+def cmd_mine(args):
+    config = RunConfig.load(
+        args.config, seed=args.seed, kp_mode=args.kp, am_steps=args.am_steps
+    )
+    data_dir = Path(args.data)
+    try:
+        net = load_checkpoint(args.checkpoint)
+        _, train_images, train_labels, _ = load_dataset(data_dir / "train")
+        eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval")
+    except ValueError as exc:
+        raise CommandError("schema", str(exc))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _, log = am_finetune(
         net,
         train_images,
@@ -230,44 +246,18 @@ def _finetune_and_mine(config, data_dir, net):
         batch_size=config.batch_size,
         shuffle_seed=config.seed,
     )
-    eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval")
     mined = mine_final_heatmaps(net, eval_images, eval_labels, config.mining_config())
-    return log, eval_ids, mined
-
-
-def _boxes_from_heatmaps(eval_ids, mined, image_size, eval_config):
-    all_boxes = []
-    for i, image_id in enumerate(eval_ids):
-        for c, (hm, _) in sorted(mined.get(i, {}).items()):
-            scale = image_size // hm.shape[0]
-            boxes, _ = extract_bboxes(hm, image_id, c, eval_config, scale=scale)
-            all_boxes.extend(boxes)
-    return all_boxes
-
-
-def cmd_mine(args):
-    config = RunConfig.load(
-        args.config, seed=args.seed, kp_mode=args.kp, am_steps=args.am_steps
-    )
-    checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        raise CommandError("missing-input", f"checkpoint {checkpoint} not found")
-    try:
-        net = load_checkpoint(checkpoint)
-    except ValueError as exc:
-        raise CommandError("schema", str(exc))
-    data_dir = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log, eval_ids, mined = _finetune_and_mine(config, data_dir, net)
     save_checkpoint(out / "mined.npz", net)
     hm_dir = out / "heatmaps"
     hm_dir.mkdir(exist_ok=True)
+    eval_config = config.eval_config()
+    boxes = []
     for i, image_id in enumerate(eval_ids):
-        for c, (hm, mask) in sorted(mined.get(i, {}).items()):
+        for c, (hm, mask) in sorted(mined[i].items()):
             write_heatmap_pgm(hm_dir / f"{image_id}_c{c}.pgm", hm)
             write_mask_pgm(hm_dir / f"{image_id}_c{c}_mask.pgm", mask)
-    boxes = _boxes_from_heatmaps(eval_ids, mined, config.image_size, config.eval_config())
+            scale = eval_images.shape[1] // hm.shape[0]
+            boxes.extend(extract_bboxes(hm, image_id, c, eval_config, scale=scale)[0])
     write_predictions(out / "predictions.jsonl", boxes)
     atomic_write_bytes(out / "finetune_log.json", json.dumps(log).encode())
     write_run_manifest(out, config, "mine")
@@ -277,9 +267,6 @@ def cmd_mine(args):
 
 def cmd_eval(args):
     config = RunConfig.load(args.config, seed=args.seed)
-    for path in (args.predictions, args.ground_truth):
-        if not Path(path).exists():
-            raise CommandError("missing-input", f"{path} not found")
     try:
         predictions = read_predictions(args.predictions)
         gt_records = read_ground_truth(args.ground_truth)
@@ -359,6 +346,9 @@ def main(argv=None):
         return args.func(args)
     except CommandError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"error:missing-input: {exc.filename} not found", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error:runtime: {exc}", file=sys.stderr)

@@ -217,6 +217,9 @@ def _ground_truth(rec):
     rec["boxes"] = [[int(v) for v in b] for b in rec["boxes"]]
     for x, y, w, h in rec["boxes"]:  # each box must make a BBox for ground_truth_by_class
         BBox(rec["image_id"], rec["class"], x, y, w, h)
+    labels = rec["labels"]
+    if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1) for v in labels):
+        raise ValueError(f"labels must be a list of 0/1 ints, not {labels!r}")
     return rec
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -37,15 +38,14 @@ class BackboneConfig:
             raise ValueError("stage_channels and stage_strides must have equal length")
         if len(self.stage_channels) < 2:
             raise ValueError("need at least two stages")
+        if min(self.stage_strides) < 1:
+            raise ValueError("stage strides must be >= 1")
         if min(self.msa_reduced_channels) < 1 or self.num_classes < 1:
             raise ValueError("reduced channels and num_classes must be >= 1")
 
     @property
     def stride_product(self):
-        p = 1
-        for s in self.stage_strides:
-            p *= s
-        return p
+        return math.prod(self.stage_strides)
 
     @property
     def feature_channels(self):

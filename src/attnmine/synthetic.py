@@ -166,14 +166,22 @@ def save_dataset(out_dir, images, manifest):
 
 
 def load_dataset(data_dir):
+    """(sorted image ids, images, label matrix, manifest records) of one split.
+
+    Every record of an image must carry the same labels, and every image
+    as many labels as the first record; else ValueError naming the manifest.
+    """
     data_dir = Path(data_dir)
-    manifest = evalloc.read_ground_truth(data_dir / "manifest.jsonl")
-    ids = sorted({rec["image_id"] for rec in manifest})
+    path = data_dir / "manifest.jsonl"
+    manifest = evalloc.read_ground_truth(path)
+    labels = {}
+    for rec in manifest:
+        seen = labels.setdefault(rec["image_id"], rec["labels"])
+        if seen != rec["labels"] or len(seen) != len(manifest[0]["labels"]):
+            raise ValueError(f"{path}: image {rec['image_id']} has inconsistent labels")
+    ids = sorted(labels)
     images = np.stack(
         [read_image_pgm(data_dir / "images" / f"{iid}.pgm") for iid in ids]
     )
-    labels = {}
-    for rec in manifest:
-        labels[rec["image_id"]] = rec["labels"]
     label_matrix = np.array([labels[iid] for iid in ids], dtype=np.float64)
     return ids, images, label_matrix, manifest

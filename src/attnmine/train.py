@@ -9,6 +9,8 @@ plain baseline.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import autodiff as ad
@@ -94,6 +96,12 @@ def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16, patie
     return history
 
 
+def _positive_runs(net, feat_data, labels, mining_config):
+    """(i, c, run_am result) for every positive (image, class) pair, image by image."""
+    for i, c in np.argwhere(np.asarray(labels) == 1).tolist():
+        yield i, c, run_am(feat_data[i], net.branch_weight(c).data, mining_config)
+
+
 def masks_for_batch(net, feat_data, labels, erase_steps, mining_config):
     """Per-class erasure masks for one batch, detached from the graph.
 
@@ -104,22 +112,12 @@ def masks_for_batch(net, feat_data, labels, erase_steps, mining_config):
     this behaviour.
     """
     n, w, h, _ = feat_data.shape
-    num_classes = net.num_classes
-    masks = np.ones((num_classes, n, w, h))
+    masks = np.ones((net.num_classes, n, w, h))
     if erase_steps == 0:
         return masks
-    cfg = MiningConfig(
-        num_steps=erase_steps,
-        binarize_threshold=mining_config.binarize_threshold,
-        connectivity=mining_config.connectivity,
-    )
-    for c in range(num_classes):
-        wvec = net.branch_weight(c).data
-        for i in range(n):
-            if labels[i, c] != 1:
-                continue
-            run = run_am(feat_data[i], wvec, cfg)
-            masks[c, i] = run.masks[min(erase_steps, len(run.masks) - 1)]
+    cfg = dataclasses.replace(mining_config, num_steps=erase_steps, min_peak_ratio=0.0)
+    for i, c, run in _positive_runs(net, feat_data, labels, cfg):
+        masks[c, i] = run.masks[-1]
     return masks
 
 
@@ -206,21 +204,13 @@ def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig):
     run's last erasure mask)}}; classes whose mining degenerates
     immediately are omitted.
     """
-    labels = np.asarray(labels)
-    out = {}
+    out = {i: {} for i in range(len(images))}
     feat = net.forward_features(Tensor(images[..., None]))
-    for i in range(len(images)):
-        per_class = {}
-        for c in range(net.num_classes):
-            if labels[i, c] != 1:
-                continue
-            run = run_am(feat.data[i], net.branch_weight(c).data, mining_config)
-            if run.steps_completed == 0:
-                continue
-            final = aggregate_final_heatmap(run.heatmaps, run.masks)
-            norm, degenerate = normalize01(final)
-            if degenerate:
-                continue
-            per_class[c] = (norm, run.masks[-1])
-        out[i] = per_class
+    for i, c, run in _positive_runs(net, feat.data, labels, mining_config):
+        if run.steps_completed == 0:
+            continue
+        final = aggregate_final_heatmap(run.heatmaps, run.masks)
+        norm, degenerate = normalize01(final)
+        if not degenerate:
+            out[i][c] = (norm, run.masks[-1])
     return out

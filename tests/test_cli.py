@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,8 @@ class TestRunConfig:
             '{"stage_channels": [8, "16", 32, 64]}',
             '{"kp_mode": "bogus"}',
             '{"batch_size": 0}',
+            '{"image_size": 60}',
+            '{"stage_strides": [1, 0, 2, 2]}',
         ],
     )
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
@@ -130,6 +133,27 @@ class TestTrain:
         main(["train", "--config", small_config, "--data", str(dataset), "--out", str(out)])
         first = float((out / "loss_log.csv").read_text().splitlines()[1].split(",")[1])
         assert abs(first - math.log(2)) < 0.05
+
+    @pytest.mark.parametrize("fault", ["missing", "not-0/1", "longer", "records-disagree"])
+    def test_bad_manifest_labels_are_schema_errors(self, tmp_path, dataset, small_config, capsys, fault):
+        path = dataset / "train" / "manifest.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        first = [r for r in records if r["image_id"] == records[0]["image_id"]]
+        if fault == "missing":
+            del first[0]["labels"]
+        elif fault == "records-disagree":
+            first[0]["labels"][0] = 1 - first[0]["labels"][0]
+        for r in first:
+            if fault == "not-0/1":
+                r["labels"][0] = 2
+            elif fault == "longer":
+                r["labels"].append(0)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "m"
+        assert main(["train", "--config", small_config, "--data", str(dataset), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and str(path) in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_dataset_rejected(self, tmp_path, small_config, capsys):
         code = main(["train", "--config", small_config, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "m")])
@@ -227,10 +251,52 @@ class TestMine:
         assert err.startswith("error:schema: ") and str(checkpoint) in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_box_scale_from_mined_images(self, tmp_path, small_config):
+        # the heatmap-to-image scale comes from the eval images, so a config
+        # that leaves image_size at its default mines 128-px data the same
+        config_128 = tmp_path / "config_128.json"
+        config_128.write_text(json.dumps({**SMALL, "image_size": 128}))
+        data, model = tmp_path / "data", tmp_path / "model"
+        assert main(["gen-data", "--config", str(config_128), "--out", str(data)]) == 0
+        assert main(["train", "--config", str(config_128), "--data", str(data), "--out", str(model)]) == 0
+        predictions = []
+        for name, config in (("with", config_128), ("without", small_config)):
+            out = tmp_path / name
+            assert main(["mine", "--config", str(config), "--checkpoint", str(model / "baseline.npz"), "--data", str(data), "--out", str(out)]) == 0
+            predictions.append((out / "predictions.jsonl").read_bytes())
+        assert predictions[0] and predictions[0] == predictions[1]
+
     def test_missing_checkpoint_rejected(self, tmp_path, dataset, small_config, capsys):
         code = main(["mine", "--config", small_config, "--checkpoint", str(tmp_path / "no.npz"), "--data", str(dataset), "--out", str(tmp_path / "m")])
         assert code == 2
         assert "error:missing-input" in capsys.readouterr().err
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("missing", ["eval-split", "image", "predictions", "ground-truth"])
+    def test_missing_input_exits_2_before_work(self, tmp_path, dataset, small_config, trained, capsys, monkeypatch, missing):
+        def no_finetune(*args, **kwargs):
+            pytest.fail("fine-tuning started with an input missing")
+
+        monkeypatch.setattr("attnmine.cli.am_finetune", no_finetune)
+        out, pred = tmp_path / "out", tmp_path / "pred.jsonl"
+        pred.write_text("")
+        gt = dataset / "eval" / "manifest.jsonl"
+        mine = ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)]
+        ev = ["eval", "--predictions", str(pred), "--ground-truth", str(gt), "--out", str(out)]
+        argv, gone = {
+            "eval-split": (mine, gt),
+            "image": (mine, dataset / "eval" / "images" / "img0003.pgm"),
+            "predictions": (ev, pred),
+            "ground-truth": (ev, gt),
+        }[missing]
+        if missing == "eval-split":
+            shutil.rmtree(dataset / "eval")
+        else:
+            gone.unlink()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error:missing-input: {gone} not found\n"
+        assert not out.exists()
 
 
 class TestEval:

@@ -15,6 +15,8 @@ from attnmine.mining import (
     write_heatmap_pgm,
     write_mask_pgm,
 )
+from attnmine.model import BackboneConfig, Network
+from attnmine.train import masks_for_batch
 
 
 def blob(size, cx, cy, sigma, amp=1.0):
@@ -178,6 +180,29 @@ class TestRunAm:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(r1.masks, r2.masks):
             np.testing.assert_array_equal(a, b)
+
+
+class TestMasksForBatch:
+    def test_last_mask_of_each_positive_run_without_peak_stop(self):
+        config = BackboneConfig(stage_channels=[2, 3], stage_strides=[1, 2], msa_reduced_channels=(1, 1), num_classes=2)
+        net = Network(config, seed=0)
+        net.branch_weight(0).data[:] = [1.0, 0.0]
+        net.branch_weight(1).data[:] = [0.0, 1.0]
+        a = two_blob_feat()[..., 0]
+        b = a[::-1].copy()
+        feat = np.stack([np.stack([a, b], -1), np.stack([b, a], -1)])
+        labels = np.array([[1.0, 0.0], [1.0, 1.0]])
+        # the weak blob peaks at 0.6 of the strong one: eval-time mining stops after one step
+        mining = MiningConfig(num_steps=3, min_peak_ratio=0.9)
+        assert run_am(feat[0], net.branch_weight(0).data, mining).steps_completed == 1
+        masks = masks_for_batch(net, feat, labels, 2, mining)
+        assert masks.shape == (2, 2, 12, 12)
+        for i, c in [(0, 0), (1, 0), (1, 1)]:
+            run = run_am(feat[i], net.branch_weight(c).data, MiningConfig(num_steps=2))
+            assert run.steps_completed == 2
+            np.testing.assert_array_equal(masks[c, i], run.masks[-1])
+        np.testing.assert_array_equal(masks[1, 0], 1.0)
+        np.testing.assert_array_equal(masks_for_batch(net, feat, labels, 0, mining), 1.0)
 
 
 class TestAggregateFinalHeatmap:
