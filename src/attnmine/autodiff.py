@@ -12,22 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "conv2d",
-    "gap",
-    "bilinear_upsample2x",
-    "relu",
-    "concat_channels",
-    "sigmoid_bce",
-    "l2_norm",
-    "mean_of",
-    "stack_vectors",
-    "add",
-    "scale",
-    "sgd_step",
-]
-
 
 class Tensor:
     """A float64 array plus the tape machinery for backpropagation.

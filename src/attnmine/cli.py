@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, atomic_write_bytes
 from .evalloc import (
     EvalConfig,
@@ -101,6 +99,7 @@ class RunConfig:
             raise CommandError("config", "batch_size must be >= 1")
         try:
             stride = config.backbone_config().stride_product
+            config.dataset_config()
             config.mining_config()
             config.kp_config()
             config.eval_config()
@@ -110,6 +109,13 @@ class RunConfig:
             message = f"image_size must be a positive multiple of {stride}, not {config.image_size}"
             raise CommandError("config", message)
         return config
+
+    def dataset_config(self):
+        return DatasetConfig(
+            image_size=self.image_size,
+            num_classes=self.num_classes,
+            multi_instance_fraction=self.multi_instance_fraction,
+        )
 
     def backbone_config(self):
         return BackboneConfig(
@@ -158,6 +164,15 @@ class CommandError(Exception):
         self.category = category
 
 
+def _output_dir(path):
+    """`path` as a Path; it or a parent existing as a non-directory is CommandError("exists")."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise CommandError("exists", f"output path {p} exists and is not a directory")
+    return out
+
+
 def write_run_manifest(out_dir, config, command):
     payload = json.dumps(asdict(config), sort_keys=True).encode()
     manifest = {
@@ -175,15 +190,11 @@ def write_run_manifest(out_dir, config, command):
 
 def cmd_gen_data(args):
     config = RunConfig.load(args.config, seed=args.seed)
-    out = Path(args.out)
+    out = _output_dir(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise CommandError("exists", f"output dir {out} is not empty; use --force")
     out.mkdir(parents=True, exist_ok=True)
-    ds_config = DatasetConfig(
-        image_size=config.image_size,
-        num_classes=config.num_classes,
-        multi_instance_fraction=config.multi_instance_fraction,
-    )
+    ds_config = config.dataset_config()
     for split, count, seed_offset in (
         ("train", config.train_count, 0),
         ("eval", config.eval_count, 1),
@@ -197,11 +208,11 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     config = RunConfig.load(args.config, seed=args.seed)
+    out = _output_dir(args.out)
     try:
-        _, images, labels, _ = load_dataset(Path(args.data) / "train")
+        _, images, labels, _ = load_dataset(Path(args.data) / "train", config.num_classes)
     except ValueError as exc:
         raise CommandError("schema", str(exc))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = Network(config.backbone_config(), seed=config.seed)
     history = train_baseline(
@@ -226,16 +237,16 @@ def cmd_mine(args):
     config = RunConfig.load(
         args.config, seed=args.seed, kp_mode=args.kp, am_steps=args.am_steps
     )
+    out = _output_dir(args.out)
     data_dir = Path(args.data)
     try:
         net = load_checkpoint(args.checkpoint)
-        _, train_images, train_labels, _ = load_dataset(data_dir / "train")
-        eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval")
+        _, train_images, train_labels, _ = load_dataset(data_dir / "train", net.num_classes)
+        eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval", net.num_classes)
     except ValueError as exc:
         raise CommandError("schema", str(exc))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, log = am_finetune(
+    log = am_finetune(
         net,
         train_images,
         train_labels,
@@ -267,6 +278,7 @@ def cmd_mine(args):
 
 def cmd_eval(args):
     config = RunConfig.load(args.config, seed=args.seed)
+    out = _output_dir(args.out)
     try:
         predictions = read_predictions(args.predictions)
         gt_records = read_ground_truth(args.ground_truth)
@@ -286,7 +298,6 @@ def cmd_eval(args):
     for cls in gt_by_class:
         pools.setdefault(cls, [])
     rows, skipped = evaluate_report(pools, gt_by_class, eval_config)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
     write_report_csv(report_path, rows)
@@ -347,8 +358,10 @@ def main(argv=None):
     except CommandError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error:missing-input: {exc.filename} not found", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        # an input path that is missing, or a file where a directory belongs or vice versa
+        why = " not found" if isinstance(exc, FileNotFoundError) else f": {exc.strerror}"
+        print(f"error:missing-input: {exc.filename}{why}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error:runtime: {exc}", file=sys.stderr)

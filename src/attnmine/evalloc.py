@@ -11,26 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import atomic_write_bytes, read_jsonl, write_jsonl
 from .mining import flood_fill_component, normalize01
-
-__all__ = [
-    "BBox",
-    "EvalConfig",
-    "iou",
-    "extract_bboxes",
-    "build_pool",
-    "evaluate",
-    "write_predictions",
-    "read_predictions",
-    "write_ground_truth",
-    "read_ground_truth",
-    "write_report_csv",
-]
 
 
 @dataclass(frozen=True)

@@ -8,30 +8,21 @@ the updating network at a fixed set of layers, averaged over layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = [
-    "KPConfig",
-    "partition_batch",
-    "kp_layer_loss",
-    "kp_total_loss",
-    "combined_loss",
-    "gap_drift",
-]
-
-DEFAULT_LAYERS = ["stage_penultimate", "stage_last", "aggregated", "logits"]
+# the capture keys of `Network.forward_features` that the drift penalty compares
+DEFAULT_LAYERS = ("stage_penultimate", "stage_last", "aggregated", "logits")
 
 
 @dataclass
 class KPConfig:
     am_fraction: float = 0.125
     weight: float = 0.5
-    layers: list = field(default_factory=lambda: list(DEFAULT_LAYERS))
     mode: str = "full"  # off | vanilla | full
 
     def __post_init__(self):
@@ -41,8 +32,6 @@ class KPConfig:
             raise ValueError("weight must be >= 0")
         if self.mode not in ("off", "vanilla", "full"):
             raise ValueError(f"unknown KP mode {self.mode!r}")
-        if self.mode == "full" and not self.layers:
-            raise ValueError("layer set must be non-empty in full mode")
 
 
 def partition_batch(batch_size, am_fraction):
@@ -91,13 +80,12 @@ def combined_loss(cls_loss, kp_loss, weight):
     return ad.add(cls_loss, ad.scale(kp_loss, weight))
 
 
-def gap_drift(net_frozen, net_updating, images, layers=None):
+def gap_drift(net_frozen, net_updating, images):
     """Held-out GAP feature drift per layer: ||g(X_frozen) - g(X_updating)||_2.
 
-    Returns {layer_name: float}; used to quantify how far fine-tuning
-    moved the network from its snapshot.
+    Returns {layer_name: float} over DEFAULT_LAYERS; used to quantify how
+    far fine-tuning moved the network from its snapshot.
     """
-    layers = layers or DEFAULT_LAYERS
     if not isinstance(images, Tensor):
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
@@ -106,7 +94,7 @@ def gap_drift(net_frozen, net_updating, images, layers=None):
     net_frozen.forward_features(images, capture=cap_a)
     net_updating.forward_features(images, capture=cap_b)
     out = {}
-    for name in layers:
+    for name in DEFAULT_LAYERS:
         da, db = cap_a[name].data, cap_b[name].data
         if da.ndim == 4:
             da = da.mean(axis=(1, 2))

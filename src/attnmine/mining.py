@@ -17,21 +17,6 @@ import numpy as np
 
 from . import atomic_write_bytes, read_jsonl, read_pgm, write_pgm
 
-__all__ = [
-    "MiningConfig",
-    "MiningRun",
-    "compute_cam",
-    "binarize_cam",
-    "flood_fill_component",
-    "erase_component",
-    "run_am",
-    "aggregate_final_heatmap",
-    "write_heatmap_pgm",
-    "read_heatmap_pgm",
-    "write_mask_pgm",
-    "read_mask_pgm",
-]
-
 
 @dataclass
 class MiningConfig:

@@ -22,8 +22,6 @@ from .autodiff import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-__all__ = ["BackboneConfig", "Network", "save_checkpoint", "load_checkpoint"]
-
 
 @dataclass
 class BackboneConfig:
@@ -122,14 +120,13 @@ class Network:
     def branch_weight(self, c):
         return self.params[f"branch{c}_w"]
 
-    def forward_stages(self, image, preact_sink=None):
+    def forward_stages(self, image, capture=None):
         """Run the conv stages; returns (penultimate, last) stage outputs.
 
         Input spatial dims must be divisible by the cumulative stride
         product so the deep map is exactly half the penultimate one.
-        When `preact_sink` is a list, the raw conv outputs (before ReLU)
-        are appended to it; gradient checks use this to reject
-        configurations sitting on the ReLU kink.
+        When `capture` is a dict, stage i's raw conv output (before ReLU)
+        is stored under ``stage<i>_preact``.
         """
         x = image if isinstance(image, Tensor) else Tensor(image)
         if x.data.ndim != 4 or x.shape[3] != 1:
@@ -148,17 +145,17 @@ class Network:
                 self.params[f"stage{i}_b"],
                 stride=self.config.stage_strides[i],
             )
-            if preact_sink is not None:
-                preact_sink.append(pre)
+            if capture is not None:
+                capture[f"stage{i}_preact"] = pre
             x = ad.relu(pre)
             outs.append(x)
         return outs[-2], outs[-1]
 
     def relu_kink_margin(self, image):
-        """Smallest |preactivation| over all ReLU inputs for this batch."""
-        sink = []
-        self.forward_stages(image, preact_sink=sink)
-        return min(float(np.min(np.abs(t.data))) for t in sink)
+        """Smallest |preactivation| over all ReLU inputs; gradient checks skip kink inputs."""
+        capture = {}
+        self.forward_stages(image, capture)
+        return min(float(np.min(np.abs(t.data))) for t in capture.values())
 
     def msa_aggregate(self, x_deep, x_shallow):
         """Reduce, upsample the deep stream 2x and concatenate (deep first)."""
@@ -180,11 +177,11 @@ class Network:
     def forward_features(self, image, capture=None):
         """Full forward to the aggregated feature map X.
 
-        When `capture` is a dict, the activations and the (N, C) logits
-        used by the feature-matching regularizer are stored under stable
-        keys.
+        When `capture` is a dict, the stage pre-activations (see
+        `forward_stages`), and the activations and (N, C) logits that the
+        feature-matching regularizer reads, are stored under stable keys.
         """
-        x_shallow, x_deep = self.forward_stages(image)
+        x_shallow, x_deep = self.forward_stages(image, capture)
         if self.config.use_msa:
             feat = self.msa_aggregate(x_deep, x_shallow)
         else:

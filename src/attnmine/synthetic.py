@@ -10,7 +10,7 @@ tight around each pattern's half-max support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +18,10 @@ import numpy as np
 from . import evalloc, write_pgm
 from . import read_pgm as read_image_pgm
 
-__all__ = ["DatasetConfig", "generate_dataset", "write_image_pgm", "read_image_pgm"]
-
 PATTERN_NAMES = ["blob", "ring", "bar", "nodule"]
 SECOND_INSTANCE_RATIO = 0.7
+BACKGROUND_AMPLITUDE = 0.08
+PRESENT_PROB = 0.5
 
 
 @dataclass
@@ -29,14 +29,16 @@ class DatasetConfig:
     image_size: int = 64
     num_classes: int = 4
     multi_instance_fraction: float = 0.0
-    background_amplitude: float = 0.08
-    present_prob: float = 0.5
 
     def __post_init__(self):
         if not (0.0 <= self.multi_instance_fraction <= 1.0):
             raise ValueError("multi_instance_fraction must lie in [0, 1]")
         if self.num_classes < 1 or self.num_classes > len(PATTERN_NAMES):
             raise ValueError(f"num_classes must be in [1, {len(PATTERN_NAMES)}]")
+        # every pattern centre must fit between its two border margins
+        min_size = 2 * max(_margin(kind) for kind in PATTERN_NAMES[: self.num_classes]) + 1
+        if self.image_size < min_size:
+            raise ValueError(f"image_size must be >= {min_size}, not {self.image_size}")
 
 
 def _render_pattern(size, kind, cx, cy, amplitude):
@@ -91,12 +93,10 @@ def _separated(kind, a, b):
 def generate_image(rng, config: DatasetConfig, force_multi=False):
     """One image: (pixels in [0,1], labels, per-class GT boxes)."""
     size = config.image_size
-    img = _background(rng, size, config.background_amplitude)
+    img = _background(rng, size, BACKGROUND_AMPLITUDE)
     labels = np.zeros(config.num_classes, dtype=int)
     boxes = {c: [] for c in range(config.num_classes)}
-    present = [
-        c for c in range(config.num_classes) if rng.random() < config.present_prob
-    ]
+    present = [c for c in range(config.num_classes) if rng.random() < PRESENT_PROB]
     if not present:
         present = [int(rng.integers(config.num_classes))]
     for c in present:
@@ -165,11 +165,11 @@ def save_dataset(out_dir, images, manifest):
     evalloc.write_ground_truth(out_dir / "manifest.jsonl", manifest)
 
 
-def load_dataset(data_dir):
+def load_dataset(data_dir, num_classes):
     """(sorted image ids, images, label matrix, manifest records) of one split.
 
-    Every record of an image must carry the same labels, and every image
-    as many labels as the first record; else ValueError naming the manifest.
+    Every record of an image must carry the same labels, `num_classes` of
+    them; else ValueError naming the manifest.
     """
     data_dir = Path(data_dir)
     path = data_dir / "manifest.jsonl"
@@ -177,8 +177,12 @@ def load_dataset(data_dir):
     labels = {}
     for rec in manifest:
         seen = labels.setdefault(rec["image_id"], rec["labels"])
-        if seen != rec["labels"] or len(seen) != len(manifest[0]["labels"]):
+        if seen != rec["labels"]:
             raise ValueError(f"{path}: image {rec['image_id']} has inconsistent labels")
+        if len(seen) != num_classes:
+            raise ValueError(
+                f"{path}: image {rec['image_id']} has {len(seen)} labels, not {num_classes}"
+            )
     ids = sorted(labels)
     images = np.stack(
         [read_image_pgm(data_dir / "images" / f"{iid}.pgm") for iid in ids]

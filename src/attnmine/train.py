@@ -15,11 +15,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kp import KPConfig, combined_loss, kp_layer_loss, kp_total_loss, partition_batch
+from .kp import (
+    DEFAULT_LAYERS,
+    KPConfig,
+    combined_loss,
+    kp_layer_loss,
+    kp_total_loss,
+    partition_batch,
+)
 from .mining import MiningConfig, aggregate_final_heatmap, normalize01, run_am
-from .model import Network, all_ones_masks
-
-__all__ = ["roc_auc", "train_baseline", "am_finetune", "mine_final_heatmaps"]
+from .model import all_ones_masks
 
 
 def roc_auc(scores, labels):
@@ -136,8 +141,7 @@ def am_finetune(
 
     Batches are drawn in a seeded per-epoch shuffled order so the
     partitioned AM subset rotates over the dataset instead of pinning
-    the same few samples every epoch.  Returns (frozen snapshot taken
-    before any update, per-step loss log).
+    the same few samples every epoch.  Returns the per-step loss log.
     """
     labels = np.asarray(labels, dtype=np.float64)
     frozen = net.snapshot()
@@ -179,7 +183,7 @@ def am_finetune(
                     net.forward_features(kp_batch, capture=cap_b)
                     layer_losses = [
                         kp_layer_loss(cap_a[name], cap_b[name])
-                        for name in kp_config.layers
+                        for name in DEFAULT_LAYERS
                     ]
                     kp_loss = kp_total_loss(layer_losses)
 
@@ -194,7 +198,7 @@ def am_finetune(
                         "kp_loss": None if kp_loss is None else float(kp_loss.data),
                     }
                 )
-    return frozen, log
+    return log
 
 
 def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig):

@@ -235,7 +235,7 @@ class TestCriterion2Identities:
         logs = {}
         for mode, weight in (("full", 0.0), ("vanilla", 0.5)):
             net = Network(BackboneConfig(), seed=9)
-            _, log = am_finetune(
+            log = am_finetune(
                 net, images, labels, config,
                 KPConfig(mode=mode, weight=weight), epochs=4, lr=0.1,
             )
@@ -346,10 +346,8 @@ def test_criterion_5_drift_ordering(
     drifts = {}
     for mode in ("off", "vanilla"):
         net = _finetune(baseline_path, train_split, 3, mode)
-        drifts[mode] = gap_drift(base, net, images, DEFAULT_LAYERS)
-    drifts["full"] = gap_drift(
-        base, load_checkpoint(finetuned_t3_path), images, DEFAULT_LAYERS
-    )
+        drifts[mode] = gap_drift(base, net, images)
+    drifts["full"] = gap_drift(base, load_checkpoint(finetuned_t3_path), images)
     for i, layer in enumerate(DEFAULT_LAYERS):
         off, van, full = (drifts[m][layer] for m in ("off", "vanilla", "full"))
         assert full < van < off, f"{layer}: full {full} vanilla {van} off {off}"

@@ -74,6 +74,8 @@ class TestRunConfig:
             '{"kp_mode": "bogus"}',
             '{"batch_size": 0}',
             '{"image_size": 60}',
+            '{"image_size": 32}',
+            '{"image_size": 40}',
             '{"stage_strides": [1, 0, 2, 2]}',
         ],
     )
@@ -88,7 +90,7 @@ class TestRunConfig:
 class TestGenData:
     def test_writes_both_splits(self, dataset):
         for split, count in (("train", 12), ("eval", 6)):
-            ids, images, labels, records = load_dataset(dataset / split)
+            ids, images, labels, records = load_dataset(dataset / split, 4)
             assert len(ids) == count
             assert images.shape == (count, 64, 64)
 
@@ -104,7 +106,7 @@ class TestGenData:
         for seed in (1, 2):
             out = tmp_path / f"d{seed}"
             assert main(["gen-data", "--config", small_config, "--seed", str(seed), "--out", str(out)]) == 0
-            _, images, _, _ = load_dataset(out / "train")
+            _, images, _, _ = load_dataset(out / "train", 4)
             outs.append(images)
         assert outs[0].shape == outs[1].shape
         assert outs[0].tobytes() != outs[1].tobytes()
@@ -201,7 +203,7 @@ class TestMine:
         out = tmp_path / "mine1"
         assert main(["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--am-steps", "1", "--out", str(out)]) == 0
         net = load_checkpoint(out / "mined.npz")
-        ids, images, labels, _ = load_dataset(dataset / "eval")
+        ids, images, labels, _ = load_dataset(dataset / "eval", 4)
         from attnmine.mining import compute_cam, normalize01
 
         feat = net.forward_features(Tensor(images[..., None])).data
@@ -227,7 +229,7 @@ class TestMine:
         config = RunConfig.load(small_config)
         assert config.am_steps == 3
         net = load_checkpoint(out / "mined.npz")
-        ids, images, _, _ = load_dataset(dataset / "eval")
+        ids, images, _, _ = load_dataset(dataset / "eval", 4)
         feat = net.forward_features(Tensor(images[..., None])).data
         hm_dir = out / "heatmaps"
         masks = {p.name[: -len("_mask.pgm")] for p in hm_dir.glob("*_mask.pgm")}
@@ -297,6 +299,65 @@ class TestMissingInput:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error:missing-input: {gone} not found\n"
         assert not out.exists()
+
+
+class TestLabelWidth:
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
+    def test_label_width_must_match_class_count(self, tmp_path, dataset, small_config, trained, capsys, command, split):
+        path = dataset / split / "manifest.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for r in records:
+            r["labels"].append(0)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and str(path) in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestWrongKindPath:
+    @pytest.mark.parametrize(
+        "command, arg",
+        [
+            ("mine", "--checkpoint"),
+            ("eval", "--predictions"),
+            ("eval", "--ground-truth"),
+            ("train", "--data"),
+            ("mine", "--data"),
+            ("gen-data", "--out"),
+            ("train", "--out"),
+            ("mine", "--out"),
+            ("eval", "--out"),
+        ],
+    )
+    def test_wrong_kind_path_exits_2_before_work(self, tmp_path, dataset, small_config, trained, capsys, monkeypatch, command, arg):
+        for work in ("generate_dataset", "train_baseline", "am_finetune", "evaluate_report"):
+            monkeypatch.setattr(f"attnmine.cli.{work}", lambda *a, **k: pytest.fail(f"{command} started work"))
+        out, pred = tmp_path / "out", tmp_path / "pred.jsonl"
+        pred.write_text("")
+        argv = {
+            "gen-data": ["gen-data", "--config", small_config, "--out", str(out)],
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+            "eval": ["eval", "--predictions", str(pred), "--ground-truth", str(dataset / "eval" / "manifest.jsonl"), "--out", str(out)],
+        }[command]
+        # a file where a directory belongs, a directory where a file belongs
+        wrong = tmp_path / "wrong"
+        if arg in ("--data", "--out"):
+            wrong.write_text("")
+        else:
+            wrong.mkdir()
+        argv[argv.index(arg) + 1] = str(wrong)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        category = "exists" if arg == "--out" else "missing-input"
+        assert err.startswith(f"error:{category}: ") and str(wrong) in err and err.count("\n") == 1
+        assert not out.exists() and wrong.exists()
 
 
 class TestEval:

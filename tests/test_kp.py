@@ -111,10 +111,6 @@ class TestKPConfig:
         with pytest.raises(ValueError):
             KPConfig(am_fraction=0.0)
 
-    def test_full_mode_needs_layers(self):
-        with pytest.raises(ValueError):
-            KPConfig(layers=[], mode="full")
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             KPConfig(mode="sometimes")

@@ -137,7 +137,7 @@ class TestImageIo:
     def test_dataset_roundtrip(self, tmp_path):
         imgs, manifest = generate_dataset(11, 6, DatasetConfig())
         save_dataset(tmp_path / "ds", imgs, manifest)
-        ids, images, labels, recs = load_dataset(tmp_path / "ds")
+        ids, images, labels, recs = load_dataset(tmp_path / "ds", 4)
         assert len(ids) == 6
         assert images.shape == (6, 64, 64)
         assert labels.shape == (6, 4)
