@@ -19,14 +19,20 @@ class Tensor:
     Layout convention for feature maps is (N, W, H, D): batch, width,
     height, channels.  All values must stay finite; operations validate
     their inputs and raise ValueError on shape mismatches.
+
+    A tensor requires a gradient when it is a `requires_grad` leaf or
+    has a parent that requires one.  One that does not keeps no parents
+    and no backward closure, so a forward that no gradient reaches builds
+    no tape and an op's saved buffers are freed as soon as its output is.
     """
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
+        parents = tuple(parents)
+        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.grad = None
-        self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        self._parents = parents if self.requires_grad else ()
+        self._backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -36,7 +42,11 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        """Accumulate gradients into every reachable requires_grad leaf."""
+        """Accumulate gradients into every reachable requires_grad leaf.
+
+        Only leaves store `.grad`; parents that require no gradient are
+        skipped.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar")
@@ -48,12 +58,12 @@ class Tensor:
             g = grads.pop(id(t), None)
             if g is None:
                 continue
-            if t.requires_grad:
-                t.grad = g.copy() if t.grad is None else t.grad + g
             if t._backward_fn is None:
+                if t.requires_grad:
+                    t.grad = g.copy() if t.grad is None else t.grad + g
                 continue
             for parent, pg in zip(t._parents, t._backward_fn(g)):
-                if pg is None:
+                if pg is None or not parent.requires_grad:
                     continue
                 if id(parent) in grads:
                     grads[id(parent)] = grads[id(parent)] + pg
@@ -144,16 +154,17 @@ def conv2d(x, kernel, bias=None, stride=1):
         gc = g.reshape(n * ow * oh, d_out)
         colmat = cols.reshape(n * ow * oh, kw * kh * d_in)
         gk = (colmat.T @ gc).reshape(kernel.shape)
-        gcols = (gc @ kmat.T).reshape(n, ow, oh, kw, kh, d_in)
-        gxp = np.zeros_like(xp)
-        for i in range(kw):
-            for j in range(kh):
-                gxp[
-                    :, i : i + ow * stride : stride, j : j + oh * stride : stride, :
-                ] += gcols[:, :, :, i, j, :]
-        pw0, pw1, ph0, ph1 = pads
-        gx = gxp[:, pw0 : xp.shape[1] - pw1, ph0 : xp.shape[2] - ph1, :]
-        grads = [gx, gk]
+        grads = [None, gk]
+        if x.requires_grad:
+            gcols = (gc @ kmat.T).reshape(n, ow, oh, kw, kh, d_in)
+            gxp = np.zeros_like(xp)
+            for i in range(kw):
+                for j in range(kh):
+                    gxp[
+                        :, i : i + ow * stride : stride, j : j + oh * stride : stride, :
+                    ] += gcols[:, :, :, i, j, :]
+            pw0, pw1, ph0, ph1 = pads
+            grads[0] = gxp[:, pw0 : xp.shape[1] - pw1, ph0 : xp.shape[2] - ph1, :]
         if bias is not None:
             grads.append(g.sum(axis=(0, 1, 2)))
         return grads

@@ -227,7 +227,7 @@ def cmd_train(args):
     save_checkpoint(out / "baseline.npz", net)
     lines = ["epoch,cls_loss"] + [f"{i},{v:.12f}" for i, v in enumerate(history)]
     atomic_write_bytes(out / "loss_log.csv", ("\n".join(lines) + "\n").encode())
-    auc = mean_auc(predict_logits(net, images), labels)
+    auc = mean_auc(predict_logits(net, images, config.batch_size), labels)
     write_run_manifest(out, config, "train")
     print(f"checkpoint {out / 'baseline.npz'}; final train AUC {auc:.4f}")
     return 0
@@ -257,7 +257,9 @@ def cmd_mine(args):
         batch_size=config.batch_size,
         shuffle_seed=config.seed,
     )
-    mined = mine_final_heatmaps(net, eval_images, eval_labels, config.mining_config())
+    mined = mine_final_heatmaps(
+        net, eval_images, eval_labels, config.mining_config(), config.batch_size
+    )
     save_checkpoint(out / "mined.npz", net)
     hm_dir = out / "heatmaps"
     hm_dir.mkdir(exist_ok=True)

@@ -169,7 +169,7 @@ def load_dataset(data_dir, num_classes):
     """(sorted image ids, images, label matrix, manifest records) of one split.
 
     Every record of an image must carry the same labels, `num_classes` of
-    them; else ValueError naming the manifest.
+    them, and the manifest must hold a record; else ValueError naming it.
     """
     data_dir = Path(data_dir)
     path = data_dir / "manifest.jsonl"
@@ -183,6 +183,8 @@ def load_dataset(data_dir, num_classes):
             raise ValueError(
                 f"{path}: image {rec['image_id']} has {len(seen)} labels, not {num_classes}"
             )
+    if not labels:
+        raise ValueError(f"{path}: no records")
     ids = sorted(labels)
     images = np.stack(
         [read_image_pgm(data_dir / "images" / f"{iid}.pgm") for iid in ids]

@@ -52,7 +52,7 @@ def mean_auc(logit_matrix, label_matrix):
 
 def _batches(count, batch_size):
     for start in range(0, count, batch_size):
-        yield list(range(start, min(start + batch_size, count)))
+        yield slice(start, start + batch_size)
 
 
 def _step(net, loss):
@@ -63,9 +63,13 @@ def _step(net, loss):
     return params, grads
 
 
-def predict_logits(net, images):
-    feat = net.forward_features(Tensor(images[..., None]))
-    return np.stack([l.data for l in net.all_logits(feat)], axis=1)
+def predict_logits(net, images, batch_size=16):
+    """(N, C) logits, forwarded `batch_size` images at a time."""
+    logits = []
+    for batch in _batches(len(images), batch_size):
+        feat = net.forward_features(Tensor(images[batch][..., None]))
+        logits.append(np.stack([l.data for l in net.all_logits(feat)], axis=1))
+    return np.concatenate(logits)
 
 
 def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16, patience=0):
@@ -81,11 +85,10 @@ def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16, patie
     stale = 0
     for _ in range(epochs):
         epoch_losses = []
-        for idx in _batches(len(images), batch_size):
-            batch = Tensor(images[idx][..., None])
-            feat = net.forward_features(batch)
+        for batch in _batches(len(images), batch_size):
+            feat = net.forward_features(Tensor(images[batch][..., None]))
             masks = all_ones_masks(net.num_classes, *feat.shape[:3])
-            loss = net.classification_loss(feat, masks, labels[idx])
+            loss = net.classification_loss(feat, masks, labels[batch])
             params, grads = _step(net, loss)
             ad.sgd_step(params, grads, lr)
             epoch_losses.append(float(loss.data))
@@ -155,7 +158,7 @@ def am_finetune(
         for _ in range(n_epochs):
             order = rng.permutation(len(images))
             for batch in _batches(len(images), batch_size):
-                idx = [int(order[i]) for i in batch]
+                idx = order[batch].tolist()
                 batch_images = images[idx][..., None]
                 batch_labels = labels[idx]
                 if kp_config.mode == "off" or len(idx) < 2:
@@ -201,20 +204,22 @@ def am_finetune(
     return log
 
 
-def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig):
+def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig, batch_size=16):
     """Final aggregated heatmap and last mask per image per positive class.
 
     Returns {image_index: {class: (heatmap normalized to [0, 1], the
     run's last erasure mask)}}; classes whose mining degenerates
-    immediately are omitted.
+    immediately are omitted.  Images are forwarded `batch_size` at a time.
     """
     out = {i: {} for i in range(len(images))}
-    feat = net.forward_features(Tensor(images[..., None]))
-    for i, c, run in _positive_runs(net, feat.data, labels, mining_config):
-        if run.steps_completed == 0:
-            continue
-        final = aggregate_final_heatmap(run.heatmaps, run.masks)
-        norm, degenerate = normalize01(final)
-        if not degenerate:
-            out[i][c] = (norm, run.masks[-1])
+    for batch in _batches(len(images), batch_size):
+        # keep the array alone, so the chunk's tape is freed before mining
+        feat_data = net.forward_features(Tensor(images[batch][..., None])).data
+        for i, c, run in _positive_runs(net, feat_data, labels[batch], mining_config):
+            if run.steps_completed == 0:
+                continue
+            final = aggregate_final_heatmap(run.heatmaps, run.masks)
+            norm, degenerate = normalize01(final)
+            if not degenerate:
+                out[batch.start + i][c] = (norm, run.masks[-1])
     return out

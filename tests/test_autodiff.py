@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from attnmine import autodiff as ad
 from attnmine.autodiff import Tensor
 from attnmine.gradcheck import finite_diff_check
+from attnmine.kp import kp_layer_loss
+from attnmine.model import BackboneConfig, Network
 
 
 class TestConv2d:
@@ -175,6 +177,78 @@ class TestBackward:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+def _small_net(seed):
+    cfg = BackboneConfig(
+        stage_channels=[3, 4], stage_strides=[1, 2], msa_reduced_channels=(3, 2), num_classes=2
+    )
+    net = Network(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for c in range(cfg.num_classes):
+        net.branch_weight(c).data[:] = rng.normal(size=cfg.feature_channels)
+    return net
+
+
+def _param_grads(net, frozen, image, masks, labels):
+    """Parameter gradients of an erased classification loss plus a drift penalty."""
+    net.zero_grad()
+    feat = net.forward_features(image)
+    cls_loss = net.classification_loss(feat, masks, labels)
+    kp_loss = kp_layer_loss(frozen.forward_features(image), feat)
+    ad.add(cls_loss, ad.scale(kp_loss, 0.5)).backward()
+    return [p.grad for p in net.param_list()]
+
+
+class TestPrunedTape:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**16), st.booleans())
+    def test_pruned_tape_gives_bit_identical_parameter_gradients(self, seed, erase):
+        # an image that requires a gradient keeps the whole tape, the frozen
+        # snapshot's forward and stage 0's input gradient included; a plain
+        # image prunes both, which must not change one bit of any parameter's
+        # gradient
+        net = _small_net(seed)
+        frozen = net.snapshot()
+        for p in net.param_list():
+            p.data += np.random.default_rng(seed + 1).normal(0, 0.05, p.data.shape)
+        rng = np.random.default_rng(seed + 2)
+        x = rng.uniform(0, 1, (3, 8, 8, 1))
+        masks = (rng.random((2, 3, 8, 8)) < 0.7) if erase else np.ones((2, 3, 8, 8))
+        labels = rng.integers(0, 2, (3, 2))
+        full = _param_grads(net, frozen, Tensor(x, requires_grad=True), masks, labels)
+        pruned = _param_grads(net, frozen, Tensor(x), masks, labels)
+        assert all(g is not None for g in pruned)
+        for a, b in zip(full, pruned):
+            assert np.array_equal(a, b)
+
+    def test_inference_builds_no_tape(self):
+        frozen = _small_net(0).snapshot()
+        capture = {}
+        feat = frozen.forward_features(Tensor(np.ones((2, 8, 8, 1))), capture=capture)
+        for t in (feat, *capture.values()):
+            assert not t.requires_grad
+            assert t._parents == () and t._backward_fn is None
+
+    def test_stage0_conv_backward_skips_input_gradient(self):
+        rng = np.random.default_rng(1)
+        k = Tensor(rng.normal(size=(3, 3, 1, 2)), requires_grad=True)
+        for needs_grad in (False, True):
+            x = Tensor(rng.normal(size=(2, 6, 6, 1)), requires_grad=needs_grad)
+            out = ad.conv2d(x, k)
+            gx, gk = out._backward_fn(np.ones(out.shape))
+            assert (gx is not None) == needs_grad
+            assert gk.shape == k.shape
+            out.backward(np.ones(out.shape))
+            assert (x.grad is not None) == needs_grad
+            k.zero_grad()
+
+    def test_grad_stored_on_leaves_only(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        mid = ad.scale(p, 3.0)
+        assert mid.requires_grad
+        ad.l2_norm(mid).backward()
+        assert mid.grad is None and p.grad is not None
 
 
 class TestFiniteDiffCheck:

@@ -320,6 +320,21 @@ class TestLabelWidth:
         assert not out.exists()
 
 
+class TestEmptyManifest:
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
+    def test_empty_manifest_is_schema_error_naming_it(self, tmp_path, dataset, small_config, trained, capsys, command, split):
+        path = dataset / split / "manifest.jsonl"
+        path.write_text("")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error:schema: {path}: no records\n"
+        assert not out.exists()
+
+
 class TestWrongKindPath:
     @pytest.mark.parametrize(
         "command, arg",

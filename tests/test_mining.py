@@ -16,7 +16,8 @@ from attnmine.mining import (
     write_mask_pgm,
 )
 from attnmine.model import BackboneConfig, Network
-from attnmine.train import masks_for_batch
+from attnmine.synthetic import DatasetConfig, generate_dataset
+from attnmine.train import masks_for_batch, mine_final_heatmaps, predict_logits
 
 
 def blob(size, cx, cy, sigma, amp=1.0):
@@ -203,6 +204,31 @@ class TestMasksForBatch:
             np.testing.assert_array_equal(masks[c, i], run.masks[-1])
         np.testing.assert_array_equal(masks[1, 0], 1.0)
         np.testing.assert_array_equal(masks_for_batch(net, feat, labels, 0, mining), 1.0)
+
+
+class TestChunkedInference:
+    def test_chunked_forward_is_exact(self):
+        # 20 images forwarded as one batch or as a 16 + 4 split
+        images, manifest = generate_dataset(9, 20, DatasetConfig())
+        labels = np.array([r["labels"] for r in manifest[::4]])
+        net = Network(BackboneConfig(), seed=4)
+        rng = np.random.default_rng(4)
+        for c in range(net.num_classes):
+            net.branch_weight(c).data[:] = rng.normal(size=net.config.feature_channels)
+        config = MiningConfig(num_steps=3)
+        split, whole = (
+            (
+                predict_logits(net, images, batch_size),
+                mine_final_heatmaps(net, images, labels, config, batch_size),
+            )
+            for batch_size in (16, 20)
+        )
+        assert np.array_equal(split[0], whole[0])
+        mined = [(i, c) for i in whole[1] for c in whole[1][i]]
+        assert mined and mined == [(i, c) for i in split[1] for c in split[1][i]]
+        for i, c in mined:
+            for a, b in zip(split[1][i][c], whole[1][i][c]):
+                assert np.array_equal(a, b)
 
 
 class TestAggregateFinalHeatmap:
