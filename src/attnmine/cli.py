@@ -71,9 +71,10 @@ class RunConfig:
         """Defaults, then the JSON object at `path`, then the non-None overrides.
 
         Every value must have its default's JSON type (an int also serves
-        for a float) and make valid sub-configs, and `image_size` must be a
-        positive multiple of the backbone's stride product; else
-        CommandError("config").
+        for a float) and make valid sub-configs; `batch_size` and the split
+        counts must be >= 1, `seed` >= 0, both learning rates > 0, and
+        `image_size` a positive multiple of the backbone's stride product;
+        else CommandError("config").
         """
         data = {}
         if path:
@@ -95,8 +96,12 @@ class RunConfig:
                 kind = type(default).__name__
                 raise CommandError("config", f"{key} must be of type {kind}, not {value!r}")
         config = cls(**data)
-        if config.batch_size < 1:
-            raise CommandError("config", "batch_size must be >= 1")
+        for key, low in (("batch_size", 1), ("train_count", 1), ("eval_count", 1), ("seed", 0)):
+            if getattr(config, key) < low:
+                raise CommandError("config", f"{key} must be >= {low}")
+        for key in ("lr", "finetune_lr"):
+            if getattr(config, key) <= 0:
+                raise CommandError("config", f"{key} must be > 0")
         try:
             stride = config.backbone_config().stride_product
             config.dataset_config()
@@ -188,9 +193,7 @@ def write_run_manifest(out_dir, config, command):
     )
 
 
-def cmd_gen_data(args):
-    config = RunConfig.load(args.config, seed=args.seed)
-    out = _output_dir(args.out)
+def cmd_gen_data(args, config, out):
     if out.exists() and any(out.iterdir()) and not args.force:
         raise CommandError("exists", f"output dir {out} is not empty; use --force")
     out.mkdir(parents=True, exist_ok=True)
@@ -201,14 +204,10 @@ def cmd_gen_data(args):
     ):
         images, manifest = generate_dataset(config.seed + seed_offset, count, ds_config)
         save_dataset(out / split, images, manifest)
-    write_run_manifest(out, config, "gen-data")
     print(f"wrote {config.train_count} train and {config.eval_count} eval images to {out}")
-    return 0
 
 
-def cmd_train(args):
-    config = RunConfig.load(args.config, seed=args.seed)
-    out = _output_dir(args.out)
+def cmd_train(args, config, out):
     try:
         _, images, labels, _ = load_dataset(Path(args.data) / "train", config.num_classes)
     except ValueError as exc:
@@ -228,16 +227,10 @@ def cmd_train(args):
     lines = ["epoch,cls_loss"] + [f"{i},{v:.12f}" for i, v in enumerate(history)]
     atomic_write_bytes(out / "loss_log.csv", ("\n".join(lines) + "\n").encode())
     auc = mean_auc(predict_logits(net, images, config.batch_size), labels)
-    write_run_manifest(out, config, "train")
     print(f"checkpoint {out / 'baseline.npz'}; final train AUC {auc:.4f}")
-    return 0
 
 
-def cmd_mine(args):
-    config = RunConfig.load(
-        args.config, seed=args.seed, kp_mode=args.kp, am_steps=args.am_steps
-    )
-    out = _output_dir(args.out)
+def cmd_mine(args, config, out):
     data_dir = Path(args.data)
     try:
         net = load_checkpoint(args.checkpoint)
@@ -273,41 +266,27 @@ def cmd_mine(args):
             boxes.extend(extract_bboxes(hm, image_id, c, eval_config, scale=scale)[0])
     write_predictions(out / "predictions.jsonl", boxes)
     atomic_write_bytes(out / "finetune_log.json", json.dumps(log).encode())
-    write_run_manifest(out, config, "mine")
     print(f"mined {len(boxes)} boxes over {len(eval_ids)} eval images into {out}")
-    return 0
 
 
-def cmd_eval(args):
-    config = RunConfig.load(args.config, seed=args.seed)
-    out = _output_dir(args.out)
+def cmd_eval(args, config, out):
     try:
         predictions = read_predictions(args.predictions)
         gt_records = read_ground_truth(args.ground_truth)
     except ValueError as exc:
         raise CommandError("schema", str(exc))
-    eval_config = config.eval_config()
     gt_by_class = ground_truth_by_class(gt_records)
-    per_class_images = {}
+    by_class = {cls: [] for cls in gt_by_class}
     for box in predictions:
-        per_class_images.setdefault(box.cls, {}).setdefault(box.image_id, []).append(box)
-    pools = {}
-    for cls, by_image in per_class_images.items():
-        ranked = [
-            sorted(by_image[iid], key=lambda b: -b.score) for iid in sorted(by_image)
-        ]
-        pools[cls] = build_pool(ranked)
-    for cls in gt_by_class:
-        pools.setdefault(cls, [])
-    rows, skipped = evaluate_report(pools, gt_by_class, eval_config)
+        by_class.setdefault(box.cls, []).append(box)
+    pools = {cls: build_pool(boxes) for cls, boxes in by_class.items()}
+    rows, skipped = evaluate_report(pools, gt_by_class, config.eval_config())
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
     write_report_csv(report_path, rows)
     for cls in skipped:
         print(f"notice: class {cls} has no ground truth; omitted from report")
-    write_run_manifest(out, config, "eval")
     print(f"report written to {report_path}")
-    return 0
 
 
 def build_parser():
@@ -316,47 +295,44 @@ def build_parser():
         description="Weakly supervised pattern localization mining pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gen-data", parents=[common], help="generate a synthetic dataset")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train the baseline classifier")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("train", parents=[common], help="train the baseline classifier")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("mine", help="masked fine-tuning and heatmap mining")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("mine", parents=[common], help="masked fine-tuning and heatmap mining")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--kp", choices=["off", "vanilla", "full"])
+    p.add_argument("--kp", dest="kp_mode")
     p.add_argument("--am-steps", type=int, dest="am_steps")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("eval", parents=[common], help="score predictions against ground truth")
     p.add_argument("--predictions", required=True)
     p.add_argument("--ground-truth", required=True, dest="ground_truth")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse `argv`, load the config (a flag whose dest names a RunConfig
+    field overrides it), run the command and record its run manifest."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        overrides = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
+        config = RunConfig.load(args.config, **overrides)
+        out = _output_dir(args.out)
+        args.func(args, config, out)
+        write_run_manifest(out, config, args.command)
     except CommandError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 2
@@ -368,6 +344,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error:runtime: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

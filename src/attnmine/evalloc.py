@@ -52,6 +52,8 @@ class EvalConfig:
         t = list(self.bbox_thresholds)
         if any(a <= b for a, b in zip(t, t[1:])):
             raise ValueError("bbox_thresholds must be strictly decreasing")
+        if any(not 0 < v <= 1 for v in t):
+            raise ValueError(f"bbox_thresholds must lie in (0, 1], not {t}")
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -96,21 +98,26 @@ def extract_bboxes(heatmap, image_id, cls, config: EvalConfig, scale=1):
         )
         if not any(box.same_extent(b) for b in boxes):
             boxes.append(box)
-    boxes.sort(key=lambda b: -b.score)
-    return boxes, False
+    return build_pool(boxes), False
 
 
-def build_pool(per_image_boxes):
-    """Rank-major pool: all rank-1 boxes in image order, then rank-2, rank-3.
+def build_pool(boxes):
+    """Rank-major pool of one class's boxes, given in any order.
 
-    per_image_boxes: list of per-image ranked box lists (possibly short).
+    Each image's boxes are ranked by descending score (ties keep their
+    input order); the pool holds every image's rank-1 box in image-id
+    order, then the rank-2 boxes, and so on.
     """
-    max_rank = max((len(b) for b in per_image_boxes), default=0)
+    per_image = {}
+    for box in boxes:
+        per_image.setdefault(box.image_id, []).append(box)
+    ranked = [sorted(per_image[iid], key=lambda b: -b.score) for iid in sorted(per_image)]
+    max_rank = max((len(b) for b in ranked), default=0)
     pool = []
     for rank in range(max_rank):
-        for boxes in per_image_boxes:
-            if rank < len(boxes):
-                pool.append(boxes[rank])
+        for image_boxes in ranked:
+            if rank < len(image_boxes):
+                pool.append(image_boxes[rank])
     return pool
 
 

@@ -38,6 +38,9 @@ class BackboneConfig:
             raise ValueError("need at least two stages")
         if min(self.stage_strides) < 1:
             raise ValueError("stage strides must be >= 1")
+        if len(self.msa_reduced_channels) != 2:
+            channels = list(self.msa_reduced_channels)
+            raise ValueError(f"msa_reduced_channels must hold 2 values, not {channels}")
         if min(self.msa_reduced_channels) < 1 or self.num_classes < 1:
             raise ValueError("reduced channels and num_classes must be >= 1")
 

@@ -115,29 +115,7 @@ def finetuned_t3_path(tmp_path_factory, baseline_path, train_split):
     return path
 
 
-def _small_net_and_input(seed, rng):
-    """A tiny network plus input kept away from ReLU kinks for stable
-    finite differences."""
-    cfg = BackboneConfig(
-        stage_channels=[2, 3],
-        stage_strides=[1, 2],
-        msa_reduced_channels=(2, 2),
-        num_classes=2,
-    )
-    for attempt in range(30):
-        net = Network(cfg, seed=seed + 1000 * attempt)
-        for k, p in net.params.items():
-            if k.endswith("_b"):
-                p.data += 0.3
-        for c in range(2):
-            net.params[f"branch{c}_w"].data = rng.normal(0, 0.5, 4)
-        x = rng.uniform(0.1, 1.0, (2, 8, 8, 1))
-        if net.relu_kink_margin(Tensor(x)) > 1e-3:
-            return net, x
-    raise AssertionError("could not find a kink-free configuration")
-
-
-def test_criterion_1_composed_loss_gradient_check():
+def test_criterion_1_composed_loss_gradient_check(small_net_and_input):
     """Full composed loss (masked classification + weighted drift over all
     preserved layers) passes finite-difference checking at 100 seeded
     configurations with max relative error < 1e-4, in under 2 minutes."""
@@ -145,7 +123,7 @@ def test_criterion_1_composed_loss_gradient_check():
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(5000 + trial)
-        net, x = _small_net_and_input(5000 + trial, rng)
+        net, x = small_net_and_input(5000 + trial, rng)
         frozen = net.snapshot()
         for p in frozen.params.values():
             p.data += rng.normal(0, 0.05, p.data.shape)
@@ -183,9 +161,9 @@ class TestCriterion2Identities:
     """Bit-exact structural identities of the loss composition."""
 
     @pytest.fixture()
-    def setup(self):
+    def setup(self, small_net_and_input):
         rng = np.random.default_rng(77)
-        net, x = _small_net_and_input(77, rng)
+        net, x = small_net_and_input(77, rng)
         feat = net.forward_features(Tensor(x))
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         return net, x, feat, labels
@@ -420,11 +398,11 @@ def _localization_acc(net, use_msa):
     heatmaps = mine_final_heatmaps(net, images, labels, config)
     eval_config = EvalConfig()
     scale = 64 // (16 if use_msa else 8)
-    per_image = {c: {} for c in range(4)}
+    per_class = {c: [] for c in range(4)}
     for idx, image_id in enumerate(ids):
         for c, (heat, _) in heatmaps.get(idx, {}).items():
             boxes, _ = extract_bboxes(heat, image_id, c, eval_config, scale=scale)
-            per_image[c][image_id] = boxes
+            per_class[c].extend(boxes)
     accs = []
     for c in range(4):
         gt = {}
@@ -432,7 +410,7 @@ def _localization_acc(net, use_msa):
             rec = by_img[image_id][c]
             if rec["boxes"]:
                 gt[image_id] = [BBox(image_id, c, *b) for b in rec["boxes"]]
-        pool = build_pool([per_image[c].get(image_id, []) for image_id in ids])
+        pool = build_pool(per_class[c])
         acc, _, _ = evaluate(pool, gt, 0.3, eval_config.afp_upper_bound)
         accs.append(acc)
     return accs

@@ -28,6 +28,9 @@ SMALL = {
 }
 
 
+COMMANDS = ["gen-data", "train", "mine", "eval"]
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "config.json"
@@ -82,9 +85,56 @@ class TestRunConfig:
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:config: ") and err.count("\n") == 1
+        for command in COMMANDS:
+            config_error(capsys, tmp_path, command, "--config", str(path))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("train_count", 0),
+            ("eval_count", 0),
+            ("seed", -1),
+            ("lr", 0),
+            ("finetune_lr", -0.05),
+            ("msa_reduced_channels", [32]),
+            ("msa_reduced_channels", [1, 2, 3]),
+            ("msa_reduced_channels", []),
+            ("bbox_thresholds", [1.5]),
+            ("bbox_thresholds", [0.5, 0.0]),
+        ],
+    )
+    def test_out_of_range_value_is_config_error_naming_it(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value}))
+        for command in COMMANDS:
+            assert key in config_error(capsys, tmp_path, command, "--config", str(path))
+
+    @pytest.mark.parametrize(
+        "flags, commands",
+        [(["--seed", "-1"], COMMANDS), (["--kp", "bogus"], ["mine"])],
+        ids=["seed", "kp"],
+    )
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, commands):
+        for command in commands:
+            config_error(capsys, tmp_path, command, *flags)
+
+
+def config_error(capsys, tmp_path, command, *flags):
+    """stderr of `command` run with `flags` and inputs that do not exist; the
+    run must exit 2 with one error:config: line and create no --out."""
+    nope = str(tmp_path / "nope")
+    inputs = {
+        "gen-data": [],
+        "train": ["--data", nope],
+        "mine": ["--checkpoint", nope, "--data", nope],
+        "eval": ["--predictions", nope, "--ground-truth", nope],
+    }[command]
+    out = tmp_path / "o"
+    assert main([command, *inputs, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:config: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
 
 
 class TestGenData:

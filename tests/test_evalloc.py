@@ -105,27 +105,36 @@ class TestExtractBboxes:
 
 class TestBuildPool:
     def test_rank_major_order(self):
-        imgs = [
-            [box(0, 0, 1, 1, "i1", score=s) for s in (3, 2, 1)],
-            [box(1, 1, 1, 1, "i2", score=s) for s in (3, 2, 1)],
-        ]
-        pool = build_pool(imgs)
+        boxes = [box(0, 0, 1, 1, "i1", score=s) for s in (3, 2, 1)]
+        boxes += [box(1, 1, 1, 1, "i2", score=s) for s in (3, 2, 1)]
+        pool = build_pool(boxes)
         order = [(b.image_id, b.score) for b in pool]
         assert order == [("i1", 3), ("i2", 3), ("i1", 2), ("i2", 2), ("i1", 1), ("i2", 1)]
 
     def test_missing_entries_skipped(self):
-        imgs = [
-            [box(0, 0, 1, 1, "i1", score=s) for s in (3, 2, 1)],
-            [box(1, 1, 1, 1, "i2", score=3)],
-        ]
-        pool = build_pool(imgs)
+        boxes = [box(0, 0, 1, 1, "i1", score=s) for s in (3, 2, 1)]
+        boxes += [box(1, 1, 1, 1, "i2", score=3)]
+        pool = build_pool(boxes)
         assert [(b.image_id, b.score) for b in pool] == [
             ("i1", 3), ("i2", 3), ("i1", 2), ("i1", 1),
         ]
 
     def test_single_image(self):
-        imgs = [[box(0, 0, 1, 1, "i1", score=s) for s in (3, 2, 1)]]
-        assert [b.score for b in build_pool(imgs)] == [3, 2, 1]
+        boxes = [box(0, 0, 1, 1, "i1", score=s) for s in (3, 2, 1)]
+        assert [b.score for b in build_pool(boxes)] == [3, 2, 1]
+
+    def test_shuffled_input_with_score_tie(self):
+        # images come out in id order whatever the input order; boxes of
+        # one image with equal scores keep their input order
+        boxes = [
+            box(0, 0, 1, 1, "i2", score=1),
+            box(1, 0, 1, 1, "i1", score=2),
+            box(2, 0, 1, 1, "i2", score=3),
+            box(3, 0, 1, 1, "i1", score=5),
+            box(4, 0, 1, 1, "i2", score=3),
+            box(5, 0, 1, 1, "i0", score=4),
+        ]
+        assert [b.x for b in build_pool(boxes)] == [5, 3, 2, 1, 4, 0]
 
 
 class TestEvaluate:

@@ -198,22 +198,8 @@ class TestErasureIdentities:
         assert float(loss.data) == pytest.approx(float(loss_perm.data), rel=1e-15)
 
 
-def test_masked_loss_gradient_check():
-    rng = np.random.default_rng(11)
-    cfg = BackboneConfig(
-        stage_channels=[2, 3], stage_strides=[1, 2],
-        msa_reduced_channels=(2, 2), num_classes=2,
-    )
-    for attempt in range(20):
-        net = Network(cfg, seed=100 + attempt)
-        for k, p in net.params.items():
-            if k.endswith("_b"):
-                p.data += 0.3
-        for c in range(2):
-            net.params[f"branch{c}_w"].data = rng.normal(0, 0.5, 4)
-        x = rng.uniform(0.1, 1.0, (2, 8, 8, 1))
-        if net.relu_kink_margin(Tensor(x)) > 1e-3:
-            break
+def test_masked_loss_gradient_check(small_net_and_input):
+    net, x = small_net_and_input(100, np.random.default_rng(11))
     labels = np.array([[1, 0], [0, 1]], dtype=float)
     masks = np.ones((2, 2, 8, 8))
     masks[0, 0, 2:5, 2:5] = 0
