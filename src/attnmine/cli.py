@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__, atomic_write_bytes
@@ -35,6 +35,10 @@ from .synthetic import DatasetConfig, generate_dataset, save_dataset, load_datas
 from .train import am_finetune, mean_auc, mine_final_heatmaps, predict_logits, train_baseline
 
 
+# sub-config fields whose RunConfig source has another name
+_RENAMED = {"num_steps": "am_steps", "weight": "kp_weight", "mode": "kp_mode"}
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
@@ -48,7 +52,6 @@ class RunConfig:
     epochs: int = 200
     finetune_epochs: int = 24
     batch_size: int = 16
-    patience: int = 0
     am_steps: int = 3
     binarize_threshold: float = 0.5
     connectivity: int = 8
@@ -71,10 +74,10 @@ class RunConfig:
         """Defaults, then the JSON object at `path`, then the non-None overrides.
 
         Every value must have its default's JSON type (an int also serves
-        for a float) and make valid sub-configs; `batch_size` and the split
-        counts must be >= 1, `seed` >= 0, both learning rates > 0, and
-        `image_size` a positive multiple of the backbone's stride product;
-        else CommandError("config").
+        for a float) and make valid sub-configs; `batch_size`, `epochs` and
+        the split counts must be >= 1, `seed` and `finetune_epochs` >= 0,
+        both learning rates > 0, and `image_size` a positive multiple of
+        the backbone's stride product; else CommandError("config").
         """
         data = {}
         if path:
@@ -96,7 +99,10 @@ class RunConfig:
                 kind = type(default).__name__
                 raise CommandError("config", f"{key} must be of type {kind}, not {value!r}")
         config = cls(**data)
-        for key, low in (("batch_size", 1), ("train_count", 1), ("eval_count", 1), ("seed", 0)):
+        for key, low in (
+            ("batch_size", 1), ("train_count", 1), ("eval_count", 1), ("seed", 0),
+            ("epochs", 1), ("finetune_epochs", 0),
+        ):
             if getattr(config, key) < low:
                 raise CommandError("config", f"{key} must be >= {low}")
         for key in ("lr", "finetune_lr"):
@@ -115,41 +121,24 @@ class RunConfig:
             raise CommandError("config", message)
         return config
 
+    def _sub(self, cls):
+        """`cls` with each field taken from the RunConfig field of that name (or its rename)."""
+        return cls(**{f.name: getattr(self, _RENAMED.get(f.name, f.name)) for f in fields(cls)})
+
     def dataset_config(self):
-        return DatasetConfig(
-            image_size=self.image_size,
-            num_classes=self.num_classes,
-            multi_instance_fraction=self.multi_instance_fraction,
-        )
+        return self._sub(DatasetConfig)
 
     def backbone_config(self):
-        return BackboneConfig(
-            stage_channels=list(self.stage_channels),
-            stage_strides=list(self.stage_strides),
-            msa_reduced_channels=tuple(self.msa_reduced_channels),
-            num_classes=self.num_classes,
-            use_msa=self.use_msa,
-        )
+        return self._sub(BackboneConfig)
 
     def mining_config(self):
-        return MiningConfig(
-            num_steps=self.am_steps,
-            binarize_threshold=self.binarize_threshold,
-            connectivity=self.connectivity,
-            min_peak_ratio=self.min_peak_ratio,
-        )
+        return self._sub(MiningConfig)
 
     def kp_config(self):
-        return KPConfig(
-            am_fraction=self.am_fraction, weight=self.kp_weight, mode=self.kp_mode
-        )
+        return self._sub(KPConfig)
 
     def eval_config(self):
-        return EvalConfig(
-            iou_thresholds=list(self.iou_thresholds),
-            bbox_thresholds=list(self.bbox_thresholds),
-            afp_upper_bound=self.afp_upper_bound,
-        )
+        return self._sub(EvalConfig)
 
 
 def _same_json_type(value, default):
@@ -221,7 +210,6 @@ def cmd_train(args, config, out):
         epochs=config.epochs,
         lr=config.lr,
         batch_size=config.batch_size,
-        patience=config.patience,
     )
     save_checkpoint(out / "baseline.npz", net)
     lines = ["epoch,cls_loss"] + [f"{i},{v:.12f}" for i, v in enumerate(history)]

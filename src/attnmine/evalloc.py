@@ -54,6 +54,11 @@ class EvalConfig:
             raise ValueError("bbox_thresholds must be strictly decreasing")
         if any(not 0 < v <= 1 for v in t):
             raise ValueError(f"bbox_thresholds must lie in (0, 1], not {t}")
+        ious = list(self.iou_thresholds)
+        if not ious or any(not 0 < v <= 1 for v in ious):
+            raise ValueError(f"iou_thresholds must be non-empty and lie in (0, 1], not {ious}")
+        if self.afp_upper_bound < 0:
+            raise ValueError(f"afp_upper_bound must be >= 0, not {self.afp_upper_bound}")
 
 
 def iou(a: BBox, b: BBox) -> float:

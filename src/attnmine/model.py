@@ -13,7 +13,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class BackboneConfig:
     use_msa: bool = True
 
     def __post_init__(self):
+        self.msa_reduced_channels = tuple(self.msa_reduced_channels)
+        self.use_msa = bool(self.use_msa)
         if len(self.stage_channels) != len(self.stage_strides):
             raise ValueError("stage_channels and stage_strides must have equal length")
         if len(self.stage_channels) < 2:
@@ -242,13 +244,12 @@ def all_ones_masks(num_classes, n, w, h):
 
 def save_checkpoint(path, network):
     arrays = {k: v.data for k, v in network.params.items()}
+    config = network.config
+    # format 1 stores use_msa as 0/1
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "stage_channels": network.config.stage_channels,
-        "stage_strides": network.config.stage_strides,
-        "msa_reduced_channels": list(network.config.msa_reduced_channels),
-        "num_classes": network.config.num_classes,
-        "use_msa": int(network.config.use_msa),
+        **asdict(config),
+        "use_msa": int(config.use_msa),
     }
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -264,13 +265,7 @@ def load_checkpoint(path):
                 raise ValueError(
                     f"unsupported checkpoint format version {meta['format_version']}"
                 )
-            config = BackboneConfig(
-                stage_channels=list(meta["stage_channels"]),
-                stage_strides=list(meta["stage_strides"]),
-                msa_reduced_channels=tuple(meta["msa_reduced_channels"]),
-                num_classes=meta["num_classes"],
-                use_msa=bool(meta["use_msa"]),
-            )
+            config = BackboneConfig(**{f.name: meta[f.name] for f in fields(BackboneConfig)})
             net = Network(config, seed=0)
             for k, p in net.params.items():
                 stored = data[k]

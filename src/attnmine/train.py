@@ -72,17 +72,10 @@ def predict_logits(net, images, batch_size=16):
     return np.concatenate(logits)
 
 
-def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16, patience=0):
-    """Plain multi-label training with all-ones masks; returns per-epoch losses.
-
-    With a positive `patience`, stops early when the epoch loss has not
-    improved for that many epochs (logged via the returned history, not
-    an error); patience 0 disables early stopping.
-    """
+def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16):
+    """Plain multi-label training with all-ones masks; returns per-epoch losses."""
     labels = np.asarray(labels, dtype=np.float64)
     history = []
-    best = np.inf
-    stale = 0
     for _ in range(epochs):
         epoch_losses = []
         for batch in _batches(len(images), batch_size):
@@ -92,15 +85,7 @@ def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16, patie
             params, grads = _step(net, loss)
             ad.sgd_step(params, grads, lr)
             epoch_losses.append(float(loss.data))
-        mean_loss = float(np.mean(epoch_losses))
-        history.append(mean_loss)
-        if mean_loss < best - 1e-12:
-            best = mean_loss
-            stale = 0
-        elif patience:
-            stale += 1
-            if stale >= patience:
-                break
+        history.append(float(np.mean(epoch_losses)))
     return history
 
 

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from attnmine.autodiff import Tensor
 from attnmine.cli import RunConfig, main
-from attnmine.evalloc import read_ground_truth, read_predictions
-from attnmine.mining import read_heatmap_pgm, read_mask_pgm, run_am
-from attnmine.model import load_checkpoint
-from attnmine.synthetic import load_dataset, read_image_pgm
+from attnmine.evalloc import EvalConfig, read_ground_truth, read_predictions
+from attnmine.kp import KPConfig
+from attnmine.mining import MiningConfig, read_heatmap_pgm, read_mask_pgm, run_am
+from attnmine.model import BackboneConfig, load_checkpoint
+from attnmine.synthetic import DatasetConfig, load_dataset, read_image_pgm
 
 # a deliberately tiny configuration so pipeline tests stay fast
 SMALL = {
@@ -53,10 +54,45 @@ class TestRunConfig:
         assert config.eval_config().afp_upper_bound == 10.0
         assert config.backbone_config().use_msa is True
 
-    def test_unknown_keys_rejected(self, tmp_path):
+        # every sub-config field away from both defaults, so a field that is
+        # dropped or taken from the wrong RunConfig field shows
+        config = RunConfig(
+            image_size=96, num_classes=3, multi_instance_fraction=0.25,
+            use_msa=False, stage_channels=[4, 8, 12], stage_strides=[1, 2, 2],
+            msa_reduced_channels=[6, 5],
+            am_steps=2, binarize_threshold=0.4, connectivity=4, min_peak_ratio=0.3,
+            kp_mode="vanilla", kp_weight=0.25, am_fraction=0.375,
+            bbox_thresholds=[0.8, 0.4], iou_thresholds=[0.3, 0.6], afp_upper_bound=4.0,
+        )
+        assert config.dataset_config() == DatasetConfig(
+            image_size=96, num_classes=3, multi_instance_fraction=0.25
+        )
+        assert config.backbone_config() == BackboneConfig(
+            stage_channels=[4, 8, 12], stage_strides=[1, 2, 2],
+            msa_reduced_channels=(6, 5), num_classes=3, use_msa=False,
+        )
+        assert config.mining_config() == MiningConfig(
+            num_steps=2, binarize_threshold=0.4, connectivity=4, min_peak_ratio=0.3
+        )
+        assert config.kp_config() == KPConfig(am_fraction=0.375, weight=0.25, mode="vanilla")
+        assert config.eval_config() == EvalConfig(
+            iou_thresholds=[0.3, 0.6], bbox_thresholds=[0.8, 0.4], afp_upper_bound=4.0
+        )
+
+    def test_zero_finetune_epochs_is_valid(self):
+        # the mine-eval benchmark workload mines without fine-tuning
+        assert RunConfig.load(finetune_epochs=0).finetune_epochs == 0
+
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        capsys.readouterr()
+        # a removed knob is unknown too
+        path.write_text(json.dumps({"patience": 3}))
+        assert "unknown config keys: ['patience']" in config_error(
+            capsys, tmp_path, "gen-data", "--config", str(path)
+        )
 
     def test_flag_overrides_config(self, tmp_path, small_config):
         out = tmp_path / "d"
@@ -101,6 +137,13 @@ class TestRunConfig:
             ("msa_reduced_channels", []),
             ("bbox_thresholds", [1.5]),
             ("bbox_thresholds", [0.5, 0.0]),
+            ("epochs", -1),
+            ("epochs", 0),
+            ("finetune_epochs", -2),
+            ("iou_thresholds", []),
+            ("iou_thresholds", [1.5]),
+            ("iou_thresholds", [0.5, 0.0]),
+            ("afp_upper_bound", -1.0),
         ],
     )
     def test_out_of_range_value_is_config_error_naming_it(self, tmp_path, capsys, key, value):

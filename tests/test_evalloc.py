@@ -240,3 +240,21 @@ class TestEvalConfigValidation:
     def test_duplicate_thresholds_rejected(self):
         with pytest.raises(ValueError):
             EvalConfig(bbox_thresholds=[0.5, 0.5, 0.25])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iou_thresholds", []),
+            ("iou_thresholds", [1.5]),
+            ("iou_thresholds", [0.5, 0.0]),
+            ("iou_thresholds", [-0.1]),
+            ("afp_upper_bound", -1.0),
+        ],
+    )
+    def test_out_of_range_rejected_naming_field(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            EvalConfig(**{key: value})
+
+    def test_range_edges_accepted(self):
+        config = EvalConfig(iou_thresholds=[1.0], afp_upper_bound=0.0)
+        assert (config.iou_thresholds, config.afp_upper_bound) == ([1.0], 0.0)

@@ -221,6 +221,11 @@ class TestCheckpoint:
             p.data += rng.normal(0, 0.1, p.data.shape)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, net)
+        assert stored_meta(path) == (
+            '{"format_version": 1, "stage_channels": [8, 16, 32, 64], '
+            '"stage_strides": [1, 2, 2, 2], "msa_reduced_channels": [32, 16], '
+            '"num_classes": 4, "use_msa": 1}'
+        )
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
         for k in net.params:
@@ -240,4 +245,15 @@ class TestCheckpoint:
         feat = net.forward_features(x)
         assert feat.shape == (1, 8, 8, 64)
         save_checkpoint(tmp_path / "c.npz", net)
+        assert stored_meta(tmp_path / "c.npz") == (
+            '{"format_version": 1, "stage_channels": [8, 16, 32, 64], '
+            '"stage_strides": [1, 2, 2, 2], "msa_reduced_channels": [32, 16], '
+            '"num_classes": 4, "use_msa": 0}'
+        )
         assert load_checkpoint(tmp_path / "c.npz").config.use_msa is False
+
+
+def stored_meta(path):
+    """The checkpoint's `__meta__` record, as the text it was written as."""
+    with np.load(path) as data:
+        return bytes(data["__meta__"]).decode()
