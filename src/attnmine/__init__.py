@@ -44,7 +44,11 @@ def read_pgm(path):
     if not header:
         raise ValueError(f"{path}: not a binary PGM")
     cols, rows, maxval = map(int, header.groups())
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
     q = np.frombuffer(data[header.end():], _pgm_dtype(maxval)).reshape(rows, cols)
+    if q.max(initial=0) > maxval:
+        raise ValueError(f"{path}: PGM sample {q.max()} exceeds maxval {maxval}")
     return q.astype(np.float64) / maxval
 
 

@@ -299,18 +299,17 @@ def sigmoid_bce(logits, labels):
     return Tensor(out, parents=[logits], backward_fn=backward)
 
 
-def l2_norm(x, scale_factor=1.0):
-    """scale * ||x||_2 over all elements, with zero subgradient at the origin."""
+def l2_norm(x):
+    """||x||_2 over all elements, with zero subgradient at the origin."""
     x = _as_tensor(x)
     norm = float(np.sqrt(np.sum(x.data**2)))
-    out = norm * scale_factor
 
     def backward(g):
         if norm == 0.0:
             return [np.zeros_like(x.data)]
-        return [g * scale_factor * x.data / norm]
+        return [g * x.data / norm]
 
-    return Tensor(out, parents=[x], backward_fn=backward)
+    return Tensor(norm, parents=[x], backward_fn=backward)
 
 
 def sub(a, b):
@@ -360,14 +359,13 @@ def stack_vectors(tensors):
     )
 
 
-def sgd_step(params, grads, lr):
-    """In-place p <- p - lr*g over a list of Tensors and matching gradients."""
+def sgd_step(params, lr):
+    """In-place p <- p - lr * p.grad; a parameter with no gradient is left unchanged."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if len(params) != len(grads):
-        raise ValueError("params and grads differ in length")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=np.float64)
-        if p.data.shape != g.shape:
-            raise ValueError(f"shape mismatch: param {p.data.shape} vs grad {g.shape}")
-        p.data -= lr * g
+    for p in params:
+        if p.grad is None:
+            continue
+        if p.data.shape != p.grad.shape:
+            raise ValueError(f"shape mismatch: param {p.data.shape} vs grad {p.grad.shape}")
+        p.data -= lr * p.grad

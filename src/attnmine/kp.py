@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import Tensor
 
 # the capture keys of `Network.forward_features` that the drift penalty compares
 DEFAULT_LAYERS = ("stage_penultimate", "stage_last", "aggregated", "logits")
@@ -47,23 +44,22 @@ def partition_batch(batch_size, am_fraction):
     return list(range(n)), list(range(n, n_total))
 
 
+def _gap_distance(a, b):
+    """||gap(a) - gap(b)||_2 of two (N, W, H, D) maps; (N, D) logit matrices are used as-is."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if len(a.shape) == 4:
+        a, b = ad.gap(a), ad.gap(b)
+    return ad.l2_norm(ad.sub(a, b))
+
+
 def kp_layer_loss(feat_frozen, feat_updating):
     """l2 distance of stacked GAP features, scaled by 1/batch.
 
     Both inputs are (N, W, H, D) Tensors (the frozen one carries no
-    gradient) or (N, D) logit matrices, which are used as-is.
+    gradient) or (N, D) logit matrices.
     """
-    if feat_frozen.shape != feat_updating.shape:
-        raise ValueError(
-            f"shape mismatch: {feat_frozen.shape} vs {feat_updating.shape}"
-        )
-    if len(feat_frozen.shape) == 4:
-        ga = ad.gap(feat_frozen)
-        gb = ad.gap(feat_updating)
-    else:
-        ga, gb = feat_frozen, feat_updating
-    n = feat_frozen.shape[0]
-    return ad.l2_norm(ad.sub(ga, gb), scale_factor=1.0 / n)
+    return ad.scale(_gap_distance(feat_frozen, feat_updating), 1.0 / feat_frozen.shape[0])
 
 
 def kp_total_loss(layer_losses):
@@ -83,21 +79,11 @@ def combined_loss(cls_loss, kp_loss, weight):
 def gap_drift(net_frozen, net_updating, images):
     """Held-out GAP feature drift per layer: ||g(X_frozen) - g(X_updating)||_2.
 
-    Returns {layer_name: float} over DEFAULT_LAYERS; used to quantify how
-    far fine-tuning moved the network from its snapshot.
+    `images` is an (N, W, H) array.  Returns {layer_name: float} over
+    DEFAULT_LAYERS; used to quantify how far fine-tuning moved the
+    network from its snapshot.
     """
-    if not isinstance(images, Tensor):
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim == 3:
-            images = images[..., None]
     cap_a, cap_b = {}, {}
-    net_frozen.forward_features(images, capture=cap_a)
-    net_updating.forward_features(images, capture=cap_b)
-    out = {}
-    for name in DEFAULT_LAYERS:
-        da, db = cap_a[name].data, cap_b[name].data
-        if da.ndim == 4:
-            da = da.mean(axis=(1, 2))
-            db = db.mean(axis=(1, 2))
-        out[name] = float(np.linalg.norm(da - db))
-    return out
+    net_frozen.forward_features(images[..., None], capture=cap_a)
+    net_updating.forward_features(images[..., None], capture=cap_b)
+    return {name: float(_gap_distance(cap_a[name], cap_b[name]).data) for name in DEFAULT_LAYERS}

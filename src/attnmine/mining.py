@@ -194,6 +194,8 @@ def read_heatmap_pgm(path):
     [(lo, hi)] = read_jsonl(
         f"{path}.json", "heatmap range", lambda m: (float(m["min"]), float(m["max"]))
     )
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"{path}.json: heatmap range {lo}..{hi} is not finite")
     return read_pgm(path) * (hi - lo) + lo
 
 

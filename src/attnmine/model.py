@@ -271,6 +271,8 @@ def load_checkpoint(path):
                 stored = data[k]
                 if stored.shape != p.data.shape:
                     raise ValueError(f"{k} has shape {stored.shape}, expected {p.data.shape}")
+                if not np.all(np.isfinite(stored)):
+                    raise ValueError(f"{k} contains non-finite values")
                 net.params[k] = Tensor(stored.astype(np.float64), requires_grad=True)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None

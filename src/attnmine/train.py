@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .kp import (
     DEFAULT_LAYERS,
     KPConfig,
@@ -55,19 +54,17 @@ def _batches(count, batch_size):
         yield slice(start, start + batch_size)
 
 
-def _step(net, loss):
+def _step(net, loss, lr):
     net.zero_grad()
     loss.backward()
-    params = net.param_list()
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
-    return params, grads
+    ad.sgd_step(net.param_list(), lr)
 
 
 def predict_logits(net, images, batch_size=16):
     """(N, C) logits, forwarded `batch_size` images at a time."""
     logits = []
     for batch in _batches(len(images), batch_size):
-        feat = net.forward_features(Tensor(images[batch][..., None]))
+        feat = net.forward_features(images[batch][..., None])
         logits.append(np.stack([l.data for l in net.all_logits(feat)], axis=1))
     return np.concatenate(logits)
 
@@ -79,11 +76,10 @@ def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16):
     for _ in range(epochs):
         epoch_losses = []
         for batch in _batches(len(images), batch_size):
-            feat = net.forward_features(Tensor(images[batch][..., None]))
+            feat = net.forward_features(images[batch][..., None])
             masks = all_ones_masks(net.num_classes, *feat.shape[:3])
             loss = net.classification_loss(feat, masks, labels[batch])
-            params, grads = _step(net, loss)
-            ad.sgd_step(params, grads, lr)
+            _step(net, loss, lr)
             epoch_losses.append(float(loss.data))
         history.append(float(np.mean(epoch_losses)))
     return history
@@ -152,8 +148,7 @@ def am_finetune(
                 else:
                     am_idx, kp_idx = partition_batch(len(idx), kp_config.am_fraction)
 
-                am_batch = Tensor(batch_images[am_idx])
-                feat = net.forward_features(am_batch)
+                feat = net.forward_features(batch_images[am_idx])
                 masks = masks_for_batch(
                     net, feat.data, batch_labels[am_idx], phase - 1, mining_config
                 )
@@ -165,7 +160,7 @@ def am_finetune(
 
                 kp_loss = None
                 if kp_config.mode == "full" and kp_idx:
-                    kp_batch = Tensor(batch_images[kp_idx])
+                    kp_batch = batch_images[kp_idx]
                     cap_a, cap_b = {}, {}
                     frozen.forward_features(kp_batch, capture=cap_a)
                     net.forward_features(kp_batch, capture=cap_b)
@@ -176,8 +171,7 @@ def am_finetune(
                     kp_loss = kp_total_loss(layer_losses)
 
                 loss = combined_loss(cls_loss, kp_loss, kp_config.weight)
-                params, grads = _step(net, loss)
-                ad.sgd_step(params, grads, lr)
+                _step(net, loss, lr)
                 log.append(
                     {
                         "phase": phase,
@@ -199,7 +193,7 @@ def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig, batch_
     out = {i: {} for i in range(len(images))}
     for batch in _batches(len(images), batch_size):
         # keep the array alone, so the chunk's tape is freed before mining
-        feat_data = net.forward_features(Tensor(images[batch][..., None])).data
+        feat_data = net.forward_features(images[batch][..., None]).data
         for i, c, run in _positive_runs(net, feat_data, labels[batch], mining_config):
             if run.steps_completed == 0:
                 continue

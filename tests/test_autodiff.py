@@ -131,30 +131,46 @@ class TestSigmoidBce:
         assert z.grad[0] == pytest.approx(sigma - 1.0, rel=1e-12)
 
 
+def _param_with_grad(data, grad):
+    p = Tensor(np.array(data), requires_grad=True)
+    p.grad = np.array(grad)
+    return p
+
+
 class TestSgdStep:
     def test_zero_gradient(self):
-        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        ad.sgd_step([p], [np.zeros(2)], 0.1)
+        p = _param_with_grad([1.0, 2.0], np.zeros(2))
+        ad.sgd_step([p], 0.1)
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
     def test_direct_arithmetic(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        ad.sgd_step([p], [np.array([0.5])], 0.1)
+        p = _param_with_grad([1.0], [0.5])
+        ad.sgd_step([p], 0.1)
         assert p.data[0] == pytest.approx(0.95)
 
     def test_two_steps_equal_double_lr(self):
-        g = np.array([0.7, -0.2])
-        p1 = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-        p2 = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-        ad.sgd_step([p1], [g], 0.1)
-        ad.sgd_step([p1], [g], 0.1)
-        ad.sgd_step([p2], [g], 0.2)
+        g = [0.7, -0.2]
+        p1 = _param_with_grad([1.0, 1.0], g)
+        p2 = _param_with_grad([1.0, 1.0], g)
+        ad.sgd_step([p1], 0.1)
+        ad.sgd_step([p1], 0.1)
+        ad.sgd_step([p2], 0.2)
         np.testing.assert_allclose(p1.data, p2.data, rtol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        p = Tensor(np.zeros(3), requires_grad=True)
+        p = _param_with_grad(np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
-            ad.sgd_step([p], [np.zeros(2)], 0.1)
+            ad.sgd_step([p], 0.1)
+
+    def test_parameter_without_gradient_unchanged(self):
+        # a parameter that backward did not reach keeps grad None
+        p = Tensor(np.array([1.0, -0.0]), requires_grad=True)
+        q = _param_with_grad([1.0], [0.5])
+        ad.sgd_step([p, q], 0.1)
+        assert p.grad is None
+        np.testing.assert_array_equal(p.data, [1.0, -0.0])
+        assert np.signbit(p.data[1])
+        assert q.data[0] == pytest.approx(0.95)
 
 
 class TestBackward:
@@ -325,7 +341,7 @@ def test_all_outputs_finite_extreme_magnitudes(seed):
     out = ad.conv2d(xt, Tensor(k))
     up = ad.bilinear_upsample2x(out)
     g = ad.gap(up)
-    loss = ad.l2_norm(g, 1e-3)
+    loss = ad.scale(ad.l2_norm(g), 1e-3)
     loss.backward()
     for arr in (out.data, up.data, g.data, loss.data, xt.grad):
         assert np.all(np.isfinite(arr))

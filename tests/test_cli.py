@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import attnmine
 from attnmine.autodiff import Tensor
 from attnmine.cli import RunConfig, main
 from attnmine.evalloc import EvalConfig, read_ground_truth, read_predictions
 from attnmine.kp import KPConfig
 from attnmine.mining import MiningConfig, read_heatmap_pgm, read_mask_pgm, run_am
-from attnmine.model import BackboneConfig, load_checkpoint
+from attnmine.model import BackboneConfig, load_checkpoint, save_checkpoint
 from attnmine.synthetic import DatasetConfig, load_dataset, read_image_pgm
 
 # a deliberately tiny configuration so pipeline tests stay fast
@@ -250,6 +251,15 @@ class TestTrain:
         assert err.startswith("error:schema: ") and str(path) in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_image_pgm_with_maxval_0_is_schema_error(self, tmp_path, dataset, small_config, capsys):
+        path = next((dataset / "train" / "images").glob("*.pgm"))
+        path.write_bytes(path.read_bytes().replace(b"\n255\n", b"\n0\n", 1))
+        out = tmp_path / "m"
+        assert main(["train", "--config", small_config, "--data", str(dataset), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and str(path) in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_dataset_rejected(self, tmp_path, small_config, capsys):
         code = main(["train", "--config", small_config, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "m")])
         assert code == 2
@@ -344,6 +354,19 @@ class TestMine:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:schema: ") and str(checkpoint) in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_rejected(self, tmp_path, dataset, small_config, trained, capsys):
+        net = load_checkpoint(trained)
+        net.params["stage0_w"].data[0, 0, 0, 0] = np.nan
+        checkpoint = tmp_path / "nan.npz"
+        save_checkpoint(checkpoint, net)
+        out = tmp_path / "m"
+        code = main(["mine", "--config", small_config, "--checkpoint", str(checkpoint), "--data", str(dataset), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and str(checkpoint) in err and "stage0_w" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_box_scale_from_mined_images(self, tmp_path, small_config):
@@ -565,6 +588,7 @@ class TestReaders:
     )
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(payload=FILE_BYTES, sidecar=FILE_BYTES)
+    @example(payload=b"P5\n1 1\n65535\n\x00\x00", sidecar=b'{"min": -Infinity, "max": Infinity}')
     def test_arbitrary_bytes_read_or_raise_value_error(self, tmp_path, reader, payload, sidecar):
         # the heatmap reader also reads a JSON sidecar beside its PGM
         path = tmp_path / "f.pgm"
@@ -574,6 +598,31 @@ class TestReaders:
             reader(path)
         except ValueError:
             pass
+
+    @pytest.mark.parametrize(
+        "pgm, error",
+        [
+            (b"P5\n2 1\n0\n\x00\x00", "maxval 0 is outside 1..65535"),
+            (b"P5\n1 1\n65536\n\x00\x00", "maxval 65536 is outside 1..65535"),
+            (b"P5\n2 1\n10\n\x05\xff", "sample 255 exceeds maxval 10"),
+            (b"P5\n1 1\n300\n\x01\x2d", "sample 301 exceeds maxval 300"),
+        ],
+    )
+    def test_pgm_maxval_and_samples_checked(self, tmp_path, pgm, error):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(pgm)
+        with pytest.raises(ValueError, match=error) as exc:
+            read_image_pgm(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "pgm, expected",
+        [(b"P5\n2 1\n1\n\x00\x01", [[0.0, 1.0]]), (b"P5\n1 1\n65535\n\xff\xff", [[1.0]])],
+    )
+    def test_pgm_maxval_range_ends_read(self, tmp_path, pgm, expected):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(pgm)
+        np.testing.assert_array_equal(read_image_pgm(path), expected)
 
 
 class TestAtomicOutputs:
@@ -603,10 +652,15 @@ class TestAtomicOutputs:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the subprocess finds the package where this process imported it,
+        # installed or not
+        src = str(Path(attnmine.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "attnmine.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout

@@ -4,6 +4,7 @@ import pytest
 from attnmine.autodiff import Tensor
 from attnmine.gradcheck import finite_diff_check
 from attnmine.kp import (
+    DEFAULT_LAYERS,
     KPConfig,
     combined_loss,
     gap_drift,
@@ -142,7 +143,27 @@ def test_kp_gradient_flows_only_into_updating_network(small_net_and_input):
 def test_gap_drift_zero_for_identical_networks():
     net = Network(BackboneConfig(), seed=5)
     frozen = net.snapshot()
-    images = np.random.default_rng(6).uniform(0, 1, (2, 16, 16, 1))
-    drift = gap_drift(frozen, net, Tensor(images))
+    images = np.random.default_rng(6).uniform(0, 1, (2, 16, 16))
+    drift = gap_drift(frozen, net, images)
     assert set(drift) == {"stage_penultimate", "stage_last", "aggregated", "logits"}
     assert all(v == 0.0 for v in drift.values())
+
+
+def test_gap_drift_matches_numpy_oracle():
+    rng = np.random.default_rng(7)
+    nets = [Network(BackboneConfig(), seed=seed) for seed in (5, 6)]
+    for net in nets:
+        for c in range(net.num_classes):
+            net.branch_weight(c).data[:] = rng.normal(size=net.config.feature_channels)
+    images = rng.uniform(0, 1, (3, 16, 16))
+    drift = gap_drift(*nets, images)
+    cap_a, cap_b = {}, {}
+    nets[0].forward_features(images[..., None], capture=cap_a)
+    nets[1].forward_features(images[..., None], capture=cap_b)
+    for name in DEFAULT_LAYERS:
+        da, db = cap_a[name].data, cap_b[name].data
+        if da.ndim == 4:
+            da, db = da.mean(axis=(1, 2)), db.mean(axis=(1, 2))
+        expected = np.linalg.norm(da - db)
+        assert expected > 0
+        np.testing.assert_allclose(drift[name], expected, rtol=1e-12)
