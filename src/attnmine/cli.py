@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -238,23 +240,49 @@ def cmd_mine(args, config, out):
         batch_size=config.batch_size,
         shuffle_seed=config.seed,
     )
-    mined = mine_final_heatmaps(
-        net, eval_images, eval_labels, config.mining_config(), config.batch_size
-    )
-    save_checkpoint(out / "mined.npz", net)
     hm_dir = out / "heatmaps"
     hm_dir.mkdir(exist_ok=True)
     eval_config = config.eval_config()
     boxes = []
-    for i, image_id in enumerate(eval_ids):
-        for c, (hm, mask) in sorted(mined[i].items()):
-            write_heatmap_pgm(hm_dir / f"{image_id}_c{c}.pgm", hm)
-            write_mask_pgm(hm_dir / f"{image_id}_c{c}_mask.pgm", mask)
-            scale = eval_images.shape[1] // hm.shape[0]
-            boxes.extend(extract_bboxes(hm, image_id, c, eval_config, scale=scale)[0])
-    write_predictions(out / "predictions.jsonl", boxes)
-    atomic_write_bytes(out / "finetune_log.json", json.dumps(log).encode())
+    # one forked helper creates each chunk's PGM files, which costs kernel
+    # time, while this process mines the next chunk; forked, it writes
+    # through this module's bindings without a fresh import.  A fork makes
+    # this process fault on its next write to each page it had, so a
+    # one-chunk split, with no mining to overlap, is written here instead
+    starts = range(0, len(eval_ids), config.batch_size)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as writer:
+        writes = []
+        for start in starts:
+            batch = slice(start, start + config.batch_size)
+            mined = mine_final_heatmaps(
+                net, eval_images[batch], eval_labels[batch], config.mining_config(),
+                config.batch_size,
+            )
+            chunk = [
+                (eval_ids[start + i], c, hm, mask)
+                for i, by_class in mined.items() for c, (hm, mask) in sorted(by_class.items())
+            ]
+            if len(starts) > 1:
+                writes.append(writer.submit(_write_pgms, hm_dir, chunk))
+            else:
+                _write_pgms(hm_dir, chunk)
+            for image_id, c, hm, _ in chunk:
+                scale = eval_images.shape[1] // hm.shape[0]
+                boxes.extend(extract_bboxes(hm, image_id, c, eval_config, scale=scale)[0])
+        save_checkpoint(out / "mined.npz", net)
+        write_predictions(out / "predictions.jsonl", boxes)
+        atomic_write_bytes(out / "finetune_log.json", json.dumps(log).encode())
+        for write in writes:
+            write.result()
     print(f"mined {len(boxes)} boxes over {len(eval_ids)} eval images into {out}")
+
+
+def _write_pgms(hm_dir, chunk):
+    """Write each (image_id, class, heatmap, mask) of `chunk` as two PGMs under `hm_dir`."""
+    for image_id, c, hm, mask in chunk:
+        write_heatmap_pgm(hm_dir / f"{image_id}_c{c}.pgm", hm)
+        write_mask_pgm(hm_dir / f"{image_id}_c{c}_mask.pgm", mask)
 
 
 def cmd_eval(args, config, out):

@@ -77,21 +77,29 @@ def flood_fill_component(binary, seed, connectivity=8):
     w, h = binary.shape
     if not binary[seed]:
         raise ValueError(f"seed {seed} is not set in the binary map")
+    # the map with a False border, as a flat list of Python bools: every
+    # neighbour of an inner cell is its index plus a fixed offset, and no
+    # neighbour needs a bounds check
+    stride = h + 2
+    padded = np.zeros((w + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = binary
     if connectivity == 8:
-        neigh = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+        offsets = (-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1)
     else:
-        neigh = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    comp = np.zeros_like(binary)
-    stack = [seed]
-    comp[seed] = True
+        offsets = (-stride, -1, 1, stride)
+    unreached = padded.ravel().tolist()  # set cells not yet in the component
+    first = (int(seed[0]) + 1) * stride + int(seed[1]) + 1
+    unreached[first] = False
+    stack = [first]
     while stack:
-        i, j = stack.pop()
-        for di, dj in neigh:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < w and 0 <= nj < h and binary[ni, nj] and not comp[ni, nj]:
-                comp[ni, nj] = True
-                stack.append((ni, nj))
-    return comp
+        k = stack.pop()
+        for d in offsets:
+            n = k + d
+            if unreached[n]:
+                unreached[n] = False
+                stack.append(n)
+    comp = padded & ~np.array(unreached).reshape(padded.shape)
+    return comp[1:-1, 1:-1]
 
 
 def erase_component(mask_prev, binary, max_loc, connectivity=8):
@@ -210,10 +218,16 @@ def write_mask_pgm(path, mask):
 
 
 def read_mask_pgm(path):
+    """A maxval-1 ASCII PGM of `cols * rows` samples, each 0 or 1, as float64."""
     tokens = Path(path).read_text().split()
     if tokens[:1] != ["P2"] or len(tokens) < 4:
         raise ValueError(f"{path}: not an ASCII PGM")
     cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 1:
         raise ValueError("mask PGM must have maxval 1")
-    return np.array(tokens[4:], dtype=np.float64).reshape(rows, cols)
+    samples = tokens[4:]
+    if len(samples) != cols * rows:
+        raise ValueError(f"{path}: {len(samples)} samples for a {cols}x{rows} mask")
+    if not set(samples) <= {"0", "1"}:
+        raise ValueError(f"{path}: mask samples must be 0 or 1")
+    return np.array(samples, dtype=np.float64).reshape(rows, cols)

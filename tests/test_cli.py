@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -288,6 +290,32 @@ class TestMine:
         assert heat_pgms
         heat = read_heatmap_pgm(heat_pgms[0])
         assert heat.shape == (16, 16)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("batch_size, helper", [(4, True), (8, False)])
+    def test_pgm_writer_failure_exits_1(self, tmp_path, dataset, trained, capsys, monkeypatch, batch_size, helper):
+        # the 6 eval images make two chunks at batch size 4, whose PGMs a
+        # forked helper writes, and one chunk at 8, written in this process;
+        # the helper inherits the patch, and its error must reach main as
+        # an in-process write error does
+        writer_pids = tmp_path / "writer_pids.log"
+
+        def full_disk(path, mask):
+            with open(writer_pids, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps({**SMALL, "batch_size": batch_size}))
+        monkeypatch.setattr("attnmine.cli.write_mask_pgm", full_disk)
+        code = main(["mine", "--config", str(config), "--checkpoint", str(trained), "--data", str(dataset), "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:runtime: ") and "No space left on device" in err
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+        pids = set(writer_pids.read_text().split())
+        assert len(pids) == 1 and (pids == {str(os.getpid())}) != helper
 
     def test_kp_modes_differ_same_schema(self, tmp_path, dataset, small_config, trained):
         nets = {}
@@ -616,6 +644,23 @@ class TestReaders:
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
+        "pgm, error",
+        [
+            (b"P2\n2 2\n1\n0 1 5 1\n", "samples must be 0 or 1"),
+            (b"P2\n2 1\n1\n0.5 1\n", "samples must be 0 or 1"),
+            (b"P2\n2 1\n1\n-1 0\n", "samples must be 0 or 1"),
+            (b"P2\n2 2\n1\n0 1 1\n", "3 samples for a 2x2 mask"),
+            (b"P2\n1 1\n1\n0 1\n", "2 samples for a 1x1 mask"),
+        ],
+    )
+    def test_mask_pgm_samples_checked(self, tmp_path, pgm, error):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(pgm)
+        with pytest.raises(ValueError, match=error) as exc:
+            read_mask_pgm(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
         "pgm, expected",
         [(b"P5\n2 1\n1\n\x00\x01", [[0.0, 1.0]]), (b"P5\n1 1\n65535\n\xff\xff", [[1.0]])],
     )
@@ -627,12 +672,15 @@ class TestReaders:
 
 class TestAtomicOutputs:
     def test_every_output_renamed_into_place_with_umask_mode(self, tmp_path, small_config, monkeypatch):
-        placed = set()
+        # renames go to a log file, not a set in this process, because
+        # `mine`'s forked PGM writer renames too
+        renames = tmp_path / "renames.log"
         replace = os.replace
 
         def recording_replace(src, dst):
             replace(src, dst)
-            placed.add(Path(dst))
+            with open(renames, "a") as log:
+                log.write(f"{dst}\n")
 
         monkeypatch.setattr(os, "replace", recording_replace)
         data, model, mine, ev = (tmp_path / name for name in ("data", "model", "mine", "eval"))
@@ -645,6 +693,7 @@ class TestAtomicOutputs:
         finally:
             os.umask(umask)
         files = {p for tree in (data, model, mine, ev) for p in tree.rglob("*") if p.is_file()}
+        placed = {Path(line) for line in renames.read_text().splitlines()}
         assert any(p.name.endswith("_mask.pgm") for p in files)
         assert sorted(files - placed) == []
         assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(0o666 & ~0o027)}

@@ -100,18 +100,23 @@ class TestEraseComponent:
         assert comp4.sum() == 1
 
     def test_matches_scipy_label_oracle(self):
+        # non-square, one-row and one-column maps, seeded at random and at
+        # every set border cell and corner, so a row stride taken from the
+        # wrong axis or a border cell treated as inner shows
         rng = np.random.default_rng(2)
-        for conn, structure in ((8, np.ones((3, 3))), (4, None)):
-            for _ in range(50):
-                binary = rng.random((12, 12)) > 0.6
-                if not binary.any():
-                    continue
-                seeds = np.argwhere(binary)
-                seed = tuple(seeds[rng.integers(len(seeds))])
-                comp = flood_fill_component(binary, seed, connectivity=conn)
-                labels, _ = ndimage.label(binary, structure=structure)
-                oracle = labels == labels[seed]
-                np.testing.assert_array_equal(comp, oracle)
+        for rows, cols in ((12, 12), (5, 9), (9, 5), (1, 8), (8, 1)):
+            for conn, structure in ((8, np.ones((3, 3))), (4, None)):
+                for _ in range(50):
+                    binary = rng.random((rows, cols)) > 0.6
+                    if not binary.any():
+                        continue
+                    seeds = np.argwhere(binary)
+                    on_border = np.isin(seeds[:, 0], (0, rows - 1)) | np.isin(seeds[:, 1], (0, cols - 1))
+                    labels, _ = ndimage.label(binary, structure=structure)
+                    for seed in [seeds[rng.integers(len(seeds))], *seeds[on_border]]:
+                        seed = tuple(seed)
+                        comp = flood_fill_component(binary, seed, connectivity=conn)
+                        np.testing.assert_array_equal(comp, labels == labels[seed])
 
     def test_unset_seed_rejected(self):
         with pytest.raises(ValueError, match="not set"):
