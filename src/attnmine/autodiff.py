@@ -4,8 +4,8 @@ Only the operations the mining pipeline needs are provided: 2-d
 convolution with "same" zero padding, global average pooling, 2x
 bilinear upsampling, ReLU, channel concatenation, elementwise
 arithmetic and the numerically stable sigmoid cross-entropy.  Every
-operation carries an analytic gradient; see gradcheck.finite_diff_check
-for the verification harness.
+operation carries an analytic gradient, which the tests verify against
+central differences with tests/gradcheck.py.
 """
 
 from __future__ import annotations

@@ -270,11 +270,12 @@ def cmd_mine(args, config, out):
             for image_id, c, hm, _ in chunk:
                 scale = eval_images.shape[1] // hm.shape[0]
                 boxes.extend(extract_bboxes(hm, image_id, c, eval_config, scale=scale)[0])
+        # a failed PGM write raises here, before the three files below exist
+        for write in writes:
+            write.result()
         save_checkpoint(out / "mined.npz", net)
         write_predictions(out / "predictions.jsonl", boxes)
         atomic_write_bytes(out / "finetune_log.json", json.dumps(log).encode())
-        for write in writes:
-            write.result()
     print(f"mined {len(boxes)} boxes over {len(eval_ids)} eval images into {out}")
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import atomic_write_bytes, read_jsonl, read_pgm, write_pgm
+from . import atomic_write_bytes, write_pgm
 
 
 @dataclass
@@ -198,15 +197,6 @@ def write_heatmap_pgm(path, heatmap):
     atomic_write_bytes(f"{path}.json", json.dumps(sidecar).encode())
 
 
-def read_heatmap_pgm(path):
-    [(lo, hi)] = read_jsonl(
-        f"{path}.json", "heatmap range", lambda m: (float(m["min"]), float(m["max"]))
-    )
-    if not np.isfinite(hi - lo):
-        raise ValueError(f"{path}.json: heatmap range {lo}..{hi} is not finite")
-    return read_pgm(path) * (hi - lo) + lo
-
-
 def write_mask_pgm(path, mask):
     """Binary mask as a maxval-1 (1-bit depth) ASCII PGM."""
     m = np.asarray(mask)
@@ -215,19 +205,3 @@ def write_mask_pgm(path, mask):
     lines = [f"P2\n{m.shape[1]} {m.shape[0]}\n1"]
     lines += [" ".join(map(str, row)) for row in m.astype(int)]
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
-
-
-def read_mask_pgm(path):
-    """A maxval-1 ASCII PGM of `cols * rows` samples, each 0 or 1, as float64."""
-    tokens = Path(path).read_text().split()
-    if tokens[:1] != ["P2"] or len(tokens) < 4:
-        raise ValueError(f"{path}: not an ASCII PGM")
-    cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 1:
-        raise ValueError("mask PGM must have maxval 1")
-    samples = tokens[4:]
-    if len(samples) != cols * rows:
-        raise ValueError(f"{path}: {len(samples)} samples for a {cols}x{rows} mask")
-    if not set(samples) <= {"0", "1"}:
-        raise ValueError(f"{path}: mask samples must be 0 or 1")
-    return np.array(samples, dtype=np.float64).reshape(rows, cols)

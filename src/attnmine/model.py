@@ -156,12 +156,6 @@ class Network:
             outs.append(x)
         return outs[-2], outs[-1]
 
-    def relu_kink_margin(self, image):
-        """Smallest |preactivation| over all ReLU inputs; gradient checks skip kink inputs."""
-        capture = {}
-        self.forward_stages(image, capture)
-        return min(float(np.min(np.abs(t.data))) for t in capture.values())
-
     def msa_aggregate(self, x_deep, x_shallow):
         """Reduce, upsample the deep stream 2x and concatenate (deep first)."""
         if (

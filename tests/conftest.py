@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import numpy as np
 import pytest
 
 from attnmine.autodiff import Tensor
@@ -23,7 +24,10 @@ def _small_net_and_input(seed, rng):
         for c in range(2):
             net.params[f"branch{c}_w"].data = rng.normal(0, 0.5, 4)
         x = rng.uniform(0.1, 1.0, (2, 8, 8, 1))
-        if net.relu_kink_margin(Tensor(x)) > 1e-3:
+        # the smallest |preactivation| over every ReLU input
+        capture = {}
+        net.forward_stages(Tensor(x), capture)
+        if min(float(np.min(np.abs(t.data))) for t in capture.values()) > 1e-3:
             return net, x
     raise AssertionError("could not find a kink-free configuration")
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from attnmine import autodiff as ad
 from attnmine.autodiff import Tensor
-from attnmine.gradcheck import finite_diff_check
 from attnmine.kp import kp_layer_loss
 from attnmine.model import BackboneConfig, Network
+
+from gradcheck import finite_diff_check
 
 
 class TestConv2d:

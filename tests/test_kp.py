@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from attnmine.autodiff import Tensor
-from attnmine.gradcheck import finite_diff_check
 from attnmine.kp import (
     DEFAULT_LAYERS,
     KPConfig,
@@ -13,6 +12,8 @@ from attnmine.kp import (
     partition_batch,
 )
 from attnmine.model import BackboneConfig, Network
+
+from gradcheck import finite_diff_check
 
 
 class TestPartitionBatch:

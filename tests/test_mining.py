@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from attnmine import read_pgm
 from attnmine.mining import (
     MiningConfig,
     aggregate_final_heatmap,
@@ -9,8 +13,6 @@ from attnmine.mining import (
     compute_cam,
     erase_component,
     flood_fill_component,
-    read_heatmap_pgm,
-    read_mask_pgm,
     run_am,
     write_heatmap_pgm,
     write_mask_pgm,
@@ -271,14 +273,27 @@ class TestDumpFormats:
         h = np.random.default_rng(4).uniform(-2, 3, size=(8, 6))
         path = tmp_path / "h.pgm"
         write_heatmap_pgm(path, h)
-        back = read_heatmap_pgm(path)
+        sidecar = json.loads(Path(f"{path}.json").read_text())
+        assert sidecar == {"min": h.min(), "max": h.max()}
+        back = read_pgm(path) * (sidecar["max"] - sidecar["min"]) + sidecar["min"]
         np.testing.assert_allclose(back, h, atol=(h.max() - h.min()) / 65535)
 
-    def test_mask_pgm_roundtrip(self, tmp_path):
-        m = (np.random.default_rng(5).random((7, 9)) > 0.5).astype(float)
+    # single-row and single-column masks are where a text reader
+    # collapses a dimension
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 8), (8, 1), (7, 9), (16, 16)])
+    def test_mask_pgm_roundtrip(self, tmp_path, rows, cols):
+        m = (np.random.default_rng(5).random((rows, cols)) > 0.5).astype(float)
         path = tmp_path / "m.pgm"
         write_mask_pgm(path, m)
-        np.testing.assert_array_equal(read_mask_pgm(path), m)
+        assert path.read_text().startswith(f"P2\n{cols} {rows}\n1\n")
+        np.testing.assert_array_equal(np.loadtxt(path, skiprows=3, ndmin=2), m)
+
+    @pytest.mark.parametrize("mask", [[[0, 1], [5, 1]], [[0.5, 1]], [[-1, 0]]], ids=["5", "0.5", "-1"])
+    def test_mask_pgm_rejects_non_binary(self, tmp_path, mask):
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match="mask must be binary"):
+            write_mask_pgm(path, np.array(mask))
+        assert not path.exists()
 
 
 def test_structural_properties_500_seeded_runs():

@@ -3,7 +3,6 @@ import pytest
 
 from attnmine import autodiff as ad
 from attnmine.autodiff import Tensor
-from attnmine.gradcheck import finite_diff_check
 from attnmine.model import (
     BackboneConfig,
     Network,
@@ -11,6 +10,8 @@ from attnmine.model import (
     load_checkpoint,
     save_checkpoint,
 )
+
+from gradcheck import finite_diff_check
 
 
 @pytest.fixture
