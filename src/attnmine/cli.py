@@ -199,12 +199,15 @@ def cmd_gen_data(args, config, out):
 
 
 def cmd_train(args, config, out):
+    split = Path(args.data) / "train"
+    backbone = config.backbone_config()
     try:
-        _, images, labels, _ = load_dataset(Path(args.data) / "train", config.num_classes)
+        _, images, labels, _ = load_dataset(split, config.num_classes)
+        backbone.check_input_dims(images.shape[1:], f"{split}: image")
     except ValueError as exc:
         raise CommandError("schema", str(exc))
     out.mkdir(parents=True, exist_ok=True)
-    net = Network(config.backbone_config(), seed=config.seed)
+    net = Network(backbone, seed=config.seed)
     history = train_baseline(
         net,
         images,
@@ -226,14 +229,17 @@ def cmd_mine(args, config, out):
         net = load_checkpoint(args.checkpoint)
         _, train_images, train_labels, _ = load_dataset(data_dir / "train", net.num_classes)
         eval_ids, eval_images, eval_labels, _ = load_dataset(data_dir / "eval", net.num_classes)
+        for split, images in (("train", train_images), ("eval", eval_images)):
+            net.config.check_input_dims(images.shape[1:], f"{data_dir / split}: image")
     except ValueError as exc:
         raise CommandError("schema", str(exc))
     out.mkdir(parents=True, exist_ok=True)
+    mining_config = config.mining_config()
     log = am_finetune(
         net,
         train_images,
         train_labels,
-        config.mining_config(),
+        mining_config,
         config.kp_config(),
         epochs=config.finetune_epochs,
         lr=config.finetune_lr,
@@ -256,13 +262,9 @@ def cmd_mine(args, config, out):
         for start in starts:
             batch = slice(start, start + config.batch_size)
             mined = mine_final_heatmaps(
-                net, eval_images[batch], eval_labels[batch], config.mining_config(),
-                config.batch_size,
+                net, eval_images[batch], eval_labels[batch], mining_config, config.batch_size
             )
-            chunk = [
-                (eval_ids[start + i], c, hm, mask)
-                for i, by_class in mined.items() for c, (hm, mask) in sorted(by_class.items())
-            ]
+            chunk = [(eval_ids[start + i], c, hm, mask) for i, c, hm, mask in mined]
             if len(starts) > 1:
                 writes.append(writer.submit(_write_pgms, hm_dir, chunk))
             else:

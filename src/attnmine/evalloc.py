@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +198,18 @@ def read_predictions(path):
 
 
 def _prediction(rec):
-    coords = [int(rec[k]) for k in ("class", "x", "y", "w", "h")]
-    return BBox(str(rec["image_id"]), *coords, float(rec.get("score", 0.0)))
+    coords = _json_ints([rec[k] for k in ("class", "x", "y", "w", "h")], "class, x, y, w and h")
+    score = rec.get("score", 0.0)
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise ValueError(f"score must be a finite number, not {score!r}")
+    return BBox(str(rec["image_id"]), *coords, float(score))
+
+
+def _json_ints(values, what):
+    """`values` if each is a JSON integer (not a float or bool), else ValueError naming `what`."""
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be integers, not {values!r}")
+    return values
 
 
 # JSON-lines: {image_id, class, boxes: [[x,y,w,h],...], labels: [0/1,...]}
@@ -211,10 +222,9 @@ def read_ground_truth(path):
 
 def _ground_truth(rec):
     rec["image_id"] = str(rec["image_id"])
-    rec["class"] = int(rec["class"])
-    rec["boxes"] = [[int(v) for v in b] for b in rec["boxes"]]
+    _json_ints([rec["class"]], "class")
     for x, y, w, h in rec["boxes"]:  # each box must make a BBox for ground_truth_by_class
-        BBox(rec["image_id"], rec["class"], x, y, w, h)
+        BBox(rec["image_id"], rec["class"], *_json_ints([x, y, w, h], "box coordinates"))
     labels = rec["labels"]
     if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1) for v in labels):
         raise ValueError(f"labels must be a list of 0/1 ints, not {labels!r}")

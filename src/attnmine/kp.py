@@ -31,17 +31,15 @@ class KPConfig:
             raise ValueError(f"unknown KP mode {self.mode!r}")
 
 
-def partition_batch(batch_size, am_fraction):
-    """Split indices into (leading erasure part, trailing untouched part).
+def partition_batch(batch_size, kp_config: KPConfig):
+    """How many leading samples of a batch take the erasure loss; the rest stay untouched.
 
-    n = round(am_fraction * N), clamped to [1, N-1].
+    All of them in ``off`` mode or in a one-sample batch, else
+    round(am_fraction * N) clamped to [1, N-1].
     """
-    n_total = int(batch_size)
-    if n_total < 2:
-        raise ValueError("batch must contain at least 2 samples to partition")
-    n = int(round(am_fraction * n_total))
-    n = max(1, min(n_total - 1, n))
-    return list(range(n)), list(range(n, n_total))
+    if kp_config.mode == "off" or batch_size < 2:
+        return batch_size
+    return max(1, min(batch_size - 1, round(kp_config.am_fraction * batch_size)))
 
 
 def _gap_distance(a, b):

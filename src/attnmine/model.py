@@ -40,6 +40,11 @@ class BackboneConfig:
             raise ValueError("need at least two stages")
         if min(self.stage_strides) < 1:
             raise ValueError("stage strides must be >= 1")
+        if min(self.stage_channels) < 1:
+            raise ValueError(f"stage_channels must all be >= 1, not {self.stage_channels}")
+        if self.use_msa and self.stage_strides[-1] != 2:
+            # the aggregation head upsamples the last stage's map exactly 2x
+            raise ValueError(f"stage_strides must end in 2 with use_msa, not {self.stage_strides}")
         if len(self.msa_reduced_channels) != 2:
             channels = list(self.msa_reduced_channels)
             raise ValueError(f"msa_reduced_channels must hold 2 values, not {channels}")
@@ -49,6 +54,15 @@ class BackboneConfig:
     @property
     def stride_product(self):
         return math.prod(self.stage_strides)
+
+    def check_input_dims(self, dims, what="input"):
+        """ValueError unless spatial `dims` are divisible by the stride product.
+
+        Then every stride-2 stage halves its input exactly, so the deep map
+        is half the penultimate one.
+        """
+        if dims[0] % self.stride_product or dims[1] % self.stride_product:
+            raise ValueError(f"{what} spatial dims {dims} must be divisible by {self.stride_product}")
 
     @property
     def feature_channels(self):
@@ -128,19 +142,14 @@ class Network:
     def forward_stages(self, image, capture=None):
         """Run the conv stages; returns (penultimate, last) stage outputs.
 
-        Input spatial dims must be divisible by the cumulative stride
-        product so the deep map is exactly half the penultimate one.
+        Input spatial dims must pass `BackboneConfig.check_input_dims`.
         When `capture` is a dict, stage i's raw conv output (before ReLU)
         is stored under ``stage<i>_preact``.
         """
         x = image if isinstance(image, Tensor) else Tensor(image)
         if x.data.ndim != 4 or x.shape[3] != 1:
             raise ValueError(f"expected (N, W, H, 1) input, got {x.shape}")
-        div = self.config.stride_product
-        if x.shape[1] % div or x.shape[2] % div:
-            raise ValueError(
-                f"input spatial dims {x.shape[1:3]} must be divisible by {div}"
-            )
+        self.config.check_input_dims(x.shape[1:3])
         outs = []
         n_stages = len(self.config.stage_channels)
         for i in range(n_stages):
@@ -230,10 +239,6 @@ class Network:
             logits = self.branch_logits(erased, c)
             losses.append(ad.sigmoid_bce(logits, labels[:, c]))
         return ad.mean_of(losses)
-
-
-def all_ones_masks(num_classes, n, w, h):
-    return np.ones((num_classes, n, w, h))
 
 
 def save_checkpoint(path, network):

@@ -23,7 +23,6 @@ from .kp import (
     partition_batch,
 )
 from .mining import MiningConfig, aggregate_final_heatmap, normalize01, run_am
-from .model import all_ones_masks
 
 
 def roc_auc(scores, labels):
@@ -77,7 +76,7 @@ def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16):
         epoch_losses = []
         for batch in _batches(len(images), batch_size):
             feat = net.forward_features(images[batch][..., None])
-            masks = all_ones_masks(net.num_classes, *feat.shape[:3])
+            masks = np.ones((net.num_classes, *feat.shape[:3]))
             loss = net.classification_loss(feat, masks, labels[batch])
             _step(net, loss, lr)
             epoch_losses.append(float(loss.data))
@@ -130,45 +129,32 @@ def am_finetune(
     labels = np.asarray(labels, dtype=np.float64)
     frozen = net.snapshot()
     rng = np.random.default_rng(shuffle_seed)
-    t_steps = mining_config.num_steps
-    phase_epochs = [epochs // t_steps] * t_steps
-    for i in range(epochs % t_steps):
-        phase_epochs[i] += 1
     log = []
-    for phase, n_epochs in enumerate(phase_epochs, start=1):
-        for _ in range(n_epochs):
+    # phase t runs epochs // T epochs, plus one for each of the first epochs % T phases
+    for phase, epoch_ids in enumerate(np.array_split(range(epochs), mining_config.num_steps), 1):
+        for _ in epoch_ids:
             order = rng.permutation(len(images))
             for batch in _batches(len(images), batch_size):
                 idx = order[batch].tolist()
                 batch_images = images[idx][..., None]
                 batch_labels = labels[idx]
-                if kp_config.mode == "off" or len(idx) < 2:
-                    am_idx = list(range(len(idx)))
-                    kp_idx = []
-                else:
-                    am_idx, kp_idx = partition_batch(len(idx), kp_config.am_fraction)
+                n = partition_batch(len(idx), kp_config)
 
-                feat = net.forward_features(batch_images[am_idx])
-                masks = masks_for_batch(
-                    net, feat.data, batch_labels[am_idx], phase - 1, mining_config
-                )
-                cls_loss = net.classification_loss(feat, masks, batch_labels[am_idx])
-                # normalize over the full batch slot: untouched partition
-                # samples contribute zero classification loss
-                if len(am_idx) < len(idx):
-                    cls_loss = ad.scale(cls_loss, len(am_idx) / len(idx))
-
+                feat = net.forward_features(batch_images[:n])
+                masks = masks_for_batch(net, feat.data, batch_labels[:n], phase - 1, mining_config)
+                cls_loss = net.classification_loss(feat, masks, batch_labels[:n])
                 kp_loss = None
-                if kp_config.mode == "full" and kp_idx:
-                    kp_batch = batch_images[kp_idx]
-                    cap_a, cap_b = {}, {}
-                    frozen.forward_features(kp_batch, capture=cap_a)
-                    net.forward_features(kp_batch, capture=cap_b)
-                    layer_losses = [
-                        kp_layer_loss(cap_a[name], cap_b[name])
-                        for name in DEFAULT_LAYERS
-                    ]
-                    kp_loss = kp_total_loss(layer_losses)
+                if n < len(idx):
+                    # normalize over the full batch slot: untouched partition
+                    # samples contribute zero classification loss
+                    cls_loss = ad.scale(cls_loss, n / len(idx))
+                    if kp_config.mode == "full":
+                        cap_a, cap_b = {}, {}
+                        frozen.forward_features(batch_images[n:], capture=cap_a)
+                        net.forward_features(batch_images[n:], capture=cap_b)
+                        kp_loss = kp_total_loss(
+                            [kp_layer_loss(cap_a[name], cap_b[name]) for name in DEFAULT_LAYERS]
+                        )
 
                 loss = combined_loss(cls_loss, kp_loss, kp_config.weight)
                 _step(net, loss, lr)
@@ -186,11 +172,12 @@ def am_finetune(
 def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig, batch_size=16):
     """Final aggregated heatmap and last mask per image per positive class.
 
-    Returns {image_index: {class: (heatmap normalized to [0, 1], the
-    run's last erasure mask)}}; classes whose mining degenerates
-    immediately are omitted.  Images are forwarded `batch_size` at a time.
+    Returns a list of (image index, class, heatmap normalized to [0, 1],
+    the run's last erasure mask) in index-then-class order; classes whose
+    mining degenerates immediately are omitted.  Images are forwarded
+    `batch_size` at a time.
     """
-    out = {i: {} for i in range(len(images))}
+    out = []
     for batch in _batches(len(images), batch_size):
         # keep the array alone, so the chunk's tape is freed before mining
         feat_data = net.forward_features(images[batch][..., None]).data
@@ -200,5 +187,5 @@ def mine_final_heatmaps(net, images, labels, mining_config: MiningConfig, batch_
             final = aggregate_final_heatmap(run.heatmaps, run.masks)
             norm, degenerate = normalize01(final)
             if not degenerate:
-                out[batch.start + i][c] = (norm, run.masks[-1])
+                out.append((batch.start + i, c, norm, run.masks[-1]))
     return out

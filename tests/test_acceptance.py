@@ -42,7 +42,6 @@ from attnmine.mining import (
 from attnmine.model import (
     BackboneConfig,
     Network,
-    all_ones_masks,
     load_checkpoint,
     save_checkpoint,
 )
@@ -171,7 +170,7 @@ class TestCriterion2Identities:
 
     def test_all_ones_mask_is_identity(self, setup):
         net, x, feat, labels = setup
-        ones = all_ones_masks(2, *feat.shape[:3])
+        ones = np.ones((2, *feat.shape[:3]))
         masked = net.classification_loss(feat, ones, labels)
         unmasked = ad.mean_of(
             [
@@ -201,7 +200,7 @@ class TestCriterion2Identities:
         fa = net.forward_features(Tensor(x), capture=cap)
         drift = kp_total_loss([kp_layer_loss(fa, fa)])
         assert float(drift.data) == 0.0
-        cls = net.classification_loss(feat, all_ones_masks(2, *feat.shape[:3]), labels)
+        cls = net.classification_loss(feat, np.ones((2, *feat.shape[:3])), labels)
         total = combined_loss(cls, drift, 0.5)
         assert float(total.data) == float(cls.data)
         assert combined_loss(cls, None, 0.5) is cls
@@ -270,15 +269,15 @@ def _second_instance_recall(net, two_instance_split, num_steps):
     heatmaps = mine_final_heatmaps(net, images, labels, config)
     eval_config = EvalConfig()
     hits = total = 0
-    for idx, image_id in enumerate(ids):
-        for c, (heat, _) in heatmaps.get(idx, {}).items():
-            gts = [BBox(image_id, c, *b) for b in by_img[image_id][c]["boxes"]]
-            if len(gts) < 2:
-                continue
-            boxes, _ = extract_bboxes(heat, image_id, c, eval_config, scale=4)
-            total += 1
-            if any(iou(b, gts[1]) >= 0.3 for b in boxes):
-                hits += 1
+    for idx, c, heat, _ in heatmaps:
+        image_id = ids[idx]
+        gts = [BBox(image_id, c, *b) for b in by_img[image_id][c]["boxes"]]
+        if len(gts) < 2:
+            continue
+        boxes, _ = extract_bboxes(heat, image_id, c, eval_config, scale=4)
+        total += 1
+        if any(iou(b, gts[1]) >= 0.3 for b in boxes):
+            hits += 1
     return hits, total
 
 
@@ -400,10 +399,9 @@ def _localization_acc(net, use_msa):
     eval_config = EvalConfig()
     scale = 64 // (16 if use_msa else 8)
     per_class = {c: [] for c in range(4)}
-    for idx, image_id in enumerate(ids):
-        for c, (heat, _) in heatmaps.get(idx, {}).items():
-            boxes, _ = extract_bboxes(heat, image_id, c, eval_config, scale=scale)
-            per_class[c].extend(boxes)
+    for idx, c, heat, _ in heatmaps:
+        boxes, _ = extract_bboxes(heat, ids[idx], c, eval_config, scale=scale)
+        per_class[c].extend(boxes)
     accs = []
     for c in range(4):
         gt = {}

@@ -86,6 +86,11 @@ class TestRunConfig:
         # the mine-eval benchmark workload mines without fine-tuning
         assert RunConfig.load(finetune_epochs=0).finetune_epochs == 0
 
+    def test_single_scale_backbone_may_end_at_stride_1(self):
+        # only the aggregation head needs the last stage to halve its input
+        config = RunConfig.load(stage_strides=[1, 2, 2, 1], use_msa=False)
+        assert config.backbone_config().stage_strides == [1, 2, 2, 1]
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))
@@ -147,6 +152,10 @@ class TestRunConfig:
             ("iou_thresholds", [1.5]),
             ("iou_thresholds", [0.5, 0.0]),
             ("afp_upper_bound", -1.0),
+            ("stage_channels", [0, 16, 32, 64]),
+            ("stage_channels", [-1, 16, 32, 64]),
+            ("stage_strides", [1, 2, 2, 1]),
+            ("stage_strides", [2, 2, 2, 1]),
         ],
     )
     def test_out_of_range_value_is_config_error_naming_it(self, tmp_path, capsys, key, value):
@@ -487,6 +496,24 @@ class TestLabelWidth:
         assert not out.exists()
 
 
+class TestImageDims:
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
+    def test_split_images_must_fit_the_backbone(self, tmp_path, dataset, small_config, trained, capsys, command, split):
+        # 60 is not a multiple of the default backbone's stride product, 8
+        for path in (dataset / split / "images").glob("*.pgm"):
+            attnmine.write_pgm(path, read_image_pgm(path)[:60, :60], 255)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and err.count("\n") == 1
+        assert f"{dataset / split}: image spatial dims (60, 60) must be divisible by 8" in err
+        assert not out.exists()
+
+
 class TestEmptyManifest:
     @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
     def test_empty_manifest_is_schema_error_naming_it(self, tmp_path, dataset, small_config, trained, capsys, command, split):
@@ -599,6 +626,12 @@ class TestEval:
             ("gt", '{"image_id": "a", "class": 0, "boxes": [0], "labels": [1]}'),
             ("gt", '{"image_id": "a", "class": 0, "boxes": [[0, 0, 4]], "labels": [1]}'),
             ("gt", '{"image_id": "a", "class": 0, "boxes": [[0, 0, 0, 4]], "labels": [1]}'),
+            ("pred", '{"image_id": "a", "class": 0, "x": 16.9, "y": 1, "w": 2, "h": 2}'),
+            ("pred", '{"image_id": "a", "class": 0, "x": true, "y": 1, "w": 2, "h": 2}'),
+            ("pred", '{"image_id": "a", "class": 0, "x": 1, "y": 1, "w": 2, "h": 2, "score": NaN}'),
+            ("pred", '{"image_id": "a", "class": 0, "x": 1, "y": 1, "w": 2, "h": 2, "score": Infinity}'),
+            ("pred", '{"image_id": "a", "class": 0, "x": 1, "y": 1, "w": 2, "h": 2, "score": true}'),
+            ("gt", '{"image_id": "a", "class": 0, "boxes": [[16.5, 0, 4, 4]], "labels": [1]}'),
         ],
     )
     def test_unreadable_record_is_schema_error(self, tmp_path, capsys, name, line):

@@ -11,31 +11,52 @@ from attnmine.kp import (
     kp_total_loss,
     partition_batch,
 )
+from attnmine.mining import MiningConfig
 from attnmine.model import BackboneConfig, Network
+from attnmine.train import am_finetune
 
 from gradcheck import finite_diff_check
 
 
 class TestPartitionBatch:
     def test_default_operating_point(self):
-        am, kp = partition_batch(16, 0.125)
-        assert am == [0, 1]
-        assert len(kp) == 14
+        assert partition_batch(16, KPConfig(am_fraction=0.125)) == 2
 
     def test_clamped_minimum(self):
-        am, kp = partition_batch(8, 0.125)
-        assert am == [0]
-        assert len(kp) == 7
+        assert partition_batch(8, KPConfig(am_fraction=0.125)) == 1
 
-    def test_half_split_restores_batch(self):
-        am, kp = partition_batch(4, 0.5)
-        assert am == [0, 1]
-        assert kp == [2, 3]
-        assert am + kp == list(range(4))
+    def test_half_split(self):
+        assert partition_batch(4, KPConfig(am_fraction=0.5)) == 2
 
-    def test_small_batch_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            partition_batch(1, 0.125)
+    def test_off_mode_erases_whole_batch(self):
+        assert partition_batch(16, KPConfig(mode="off")) == 16
+
+    @pytest.mark.parametrize("mode", ["off", "vanilla", "full"])
+    def test_single_sample_batch_is_erased(self, mode):
+        assert partition_batch(1, KPConfig(mode=mode)) == 1
+
+
+@pytest.mark.parametrize("mode", ["off", "vanilla", "full"])
+def test_finetune_phases_and_split(mode):
+    # 9 images at batch size 4 give batches of 4, 4 and 1; 4 epochs over
+    # 3 mining steps give phases of 2, 1 and 1 epochs
+    rng = np.random.default_rng(8)
+    images = rng.uniform(0, 1, (9, 8, 8))
+    labels = rng.integers(0, 2, (9, 4))
+    cfg = BackboneConfig(stage_channels=[4, 8], stage_strides=[1, 2], msa_reduced_channels=(2, 2))
+    net = Network(cfg, seed=3)
+    for c in range(net.num_classes):
+        net.branch_weight(c).data[:] = rng.normal(size=cfg.feature_channels)
+    log = am_finetune(
+        net, images, labels, MiningConfig(num_steps=3), KPConfig(mode=mode), epochs=4, batch_size=4
+    )
+    assert [e["phase"] for e in log] == [1] * 6 + [2] * 3 + [3] * 3
+    if mode == "full":
+        # only the one-sample batches have no untouched part to hold to the snapshot
+        assert [e["kp_loss"] is None for e in log] == [False, False, True] * 4
+    else:
+        assert all(e["kp_loss"] is None for e in log)
+    assert all(e["loss"] == e["cls_loss"] for e in log if e["kp_loss"] is None)
 
 
 class TestKpLayerLoss:

@@ -231,11 +231,12 @@ class TestChunkedInference:
             for batch_size in (16, 20)
         )
         assert np.array_equal(split[0], whole[0])
-        mined = [(i, c) for i in whole[1] for c in whole[1][i]]
-        assert mined and mined == [(i, c) for i in split[1] for c in split[1][i]]
-        for i, c in mined:
-            for a, b in zip(split[1][i][c], whole[1][i][c]):
-                assert np.array_equal(a, b)
+        assert whole[1] and len(split[1]) == len(whole[1])
+        for a, b in zip(split[1], whole[1]):
+            assert a[:2] == b[:2]
+            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+        # index-then-class order, the order `mine` writes its files in
+        assert [a[:2] for a in whole[1]] == sorted(a[:2] for a in whole[1])
 
 
 class TestAggregateFinalHeatmap:

@@ -6,7 +6,6 @@ from attnmine.autodiff import Tensor
 from attnmine.model import (
     BackboneConfig,
     Network,
-    all_ones_masks,
     load_checkpoint,
     save_checkpoint,
 )
@@ -119,7 +118,7 @@ class TestBranchLogits:
 class TestClassificationLoss:
     def test_all_ones_masks_zero_logits(self, net):
         feat = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 4, 4, 48)))
-        masks = all_ones_masks(4, 2, 4, 4)
+        masks = np.ones((4, 2, 4, 4))
         labels = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
         loss = net.classification_loss(feat, masks, labels)
         assert float(loss.data) == pytest.approx(np.log(2))
@@ -132,7 +131,7 @@ class TestClassificationLoss:
         net = Network(cfg, seed=1)
         net.params["branch0_w"].data[:] = [0.5, -0.5]
         feat = Tensor(np.random.default_rng(5).uniform(0, 1, (3, 4, 4, 2)))
-        masks = all_ones_masks(1, 3, 4, 4)
+        masks = np.ones((1, 3, 4, 4))
         labels = np.array([[1], [0], [1]])
         loss = net.classification_loss(feat, masks, labels)
         logits = net.branch_logits(feat, 0)
@@ -160,9 +159,7 @@ class TestErasureIdentities:
             tiny_net.params[f"branch{c}_w"].data = rng.normal(0, 0.5, 4)
         feat = Tensor(rng.uniform(0, 1, (2, 8, 8, 4)))
         labels = np.array([[1, 0], [0, 1]])
-        masked = tiny_net.classification_loss(
-            feat, all_ones_masks(2, 2, 8, 8), labels
-        )
+        masked = tiny_net.classification_loss(feat, np.ones((2, 2, 8, 8)), labels)
         # unmasked reference computed directly from the same logits
         losses = [
             ad.sigmoid_bce(tiny_net.branch_logits(feat, c), labels[:, c].astype(float))
