@@ -202,7 +202,14 @@ def _prediction(rec):
     score = rec.get("score", 0.0)
     if type(score) not in (int, float) or not math.isfinite(score):
         raise ValueError(f"score must be a finite number, not {score!r}")
-    return BBox(str(rec["image_id"]), *coords, float(score))
+    return BBox(_image_id(rec), *coords, float(score))
+
+
+def _image_id(rec):
+    """`rec["image_id"]` if it is a JSON string, else ValueError: 5 and "5" are not one image."""
+    if type(rec["image_id"]) is not str:
+        raise ValueError(f"image_id must be a string, not {rec['image_id']!r}")
+    return rec["image_id"]
 
 
 def _json_ints(values, what):
@@ -221,10 +228,10 @@ def read_ground_truth(path):
 
 
 def _ground_truth(rec):
-    rec["image_id"] = str(rec["image_id"])
+    image_id = _image_id(rec)
     _json_ints([rec["class"]], "class")
     for x, y, w, h in rec["boxes"]:  # each box must make a BBox for ground_truth_by_class
-        BBox(rec["image_id"], rec["class"], *_json_ints([x, y, w, h], "box coordinates"))
+        BBox(image_id, rec["class"], *_json_ints([x, y, w, h], "box coordinates"))
     labels = rec["labels"]
     if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1) for v in labels):
         raise ValueError(f"labels must be a list of 0/1 ints, not {labels!r}")

@@ -1,10 +1,11 @@
 """Iterative saliency mining: masked CAMs, component erasure, heatmap aggregation.
 
-For one class branch the procedure is: project the (erased) feature map
-onto the branch weights to get a heatmap, min-max normalize, binarize at
-a threshold, zero out the connected component holding the global
-maximum, and repeat.  The final heatmap averages all step heatmaps,
-filling pixels erased at earlier steps from those steps' own responses.
+For one class branch the procedure is: project the feature map onto the
+branch weights once, then per step mask that heatmap with the erasure
+mask, min-max normalize, binarize at a threshold, zero out the connected
+component holding the global maximum, and repeat.  The final heatmap
+averages all step heatmaps, filling pixels erased at earlier steps from
+those steps' own responses.
 """
 
 from __future__ import annotations
@@ -33,41 +34,6 @@ class MiningConfig:
             raise ValueError("connectivity must be 4 or 8")
         if not (0.0 <= self.min_peak_ratio < 1.0):
             raise ValueError("min_peak_ratio must lie in [0, 1)")
-
-
-def compute_cam(feat, mask, weights):
-    """Heatmap H[w,h] = sum_d feat[w,h,d] * mask[w,h] * weights[d].
-
-    feat: (W, H, D) single-image feature map (plain array); mask binary (W, H).
-    """
-    feat = np.asarray(feat, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if feat.ndim != 3 or mask.shape != feat.shape[:2] or weights.shape != (feat.shape[2],):
-        raise ValueError(
-            f"shape mismatch: feat {feat.shape}, mask {mask.shape}, weights {weights.shape}"
-        )
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask must be binary")
-    return (feat @ weights) * mask
-
-
-def binarize_cam(heatmap, threshold=0.5):
-    """Min-max normalize and threshold; returns (normalized, binary, max_loc, degenerate).
-
-    A constant heatmap cannot be normalized: the degenerate flag is set
-    and binary/max_loc are None.  Global-max ties break at the smallest
-    row-major index.
-    """
-    h = np.asarray(heatmap, dtype=np.float64)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("heatmap contains non-finite values")
-    norm, degenerate = normalize01(h)
-    if degenerate:
-        return None, None, None, True
-    binary = norm >= threshold
-    max_loc = np.unravel_index(int(np.argmax(h)), h.shape)
-    return norm, binary, max_loc, False
 
 
 def flood_fill_component(binary, seed, connectivity=8):
@@ -101,15 +67,6 @@ def flood_fill_component(binary, seed, connectivity=8):
     return comp[1:-1, 1:-1]
 
 
-def erase_component(mask_prev, binary, max_loc, connectivity=8):
-    """Zero the connected component of max_loc on top of the previous mask."""
-    mask_prev = np.asarray(mask_prev, dtype=np.float64)
-    comp = flood_fill_component(binary, max_loc, connectivity)
-    out = mask_prev.copy()
-    out[comp] = 0.0
-    return out
-
-
 @dataclass
 class MiningRun:
     """Per-step heatmaps (normalized) and masks for one image and class.
@@ -130,16 +87,23 @@ class MiningRun:
 
 
 def run_am(feat, weights, config: MiningConfig):
-    """Iterate the erase-and-remine loop up to config.num_steps times."""
-    feat = np.asarray(feat, dtype=np.float64)
+    """Iterate the erase-and-remine loop up to config.num_steps times.
+
+    feat: (W, H, D) single-image feature map (plain array).  Step t's raw
+    heatmap is `feat @ weights` times masks[t-1]; global-max ties break at
+    the smallest row-major index.
+    """
+    cam = np.asarray(feat, dtype=np.float64) @ weights
+    if not np.all(np.isfinite(cam)):
+        raise ValueError("heatmap contains non-finite values")
     run = MiningRun()
-    mask = np.ones(feat.shape[:2])
+    mask = np.ones(cam.shape)
     run.masks.append(mask)
     for _ in range(config.num_steps):
         if mask.sum() == 0:
             break
-        raw = compute_cam(feat, mask, weights)
-        norm, binary, max_loc, degenerate = binarize_cam(raw, config.binarize_threshold)
+        raw = cam * mask
+        norm, degenerate = normalize01(raw)
         if degenerate:
             break
         # stop once the remaining response has collapsed relative to the
@@ -150,7 +114,9 @@ def run_am(feat, weights, config: MiningConfig):
                 break
         run.raw_heatmaps.append(raw)
         run.heatmaps.append(norm)
-        mask = erase_component(mask, binary, max_loc, config.connectivity)
+        peak = np.unravel_index(int(np.argmax(raw)), raw.shape)
+        mask = mask.copy()
+        mask[flood_fill_component(norm >= config.binarize_threshold, peak, config.connectivity)] = 0.0
         run.masks.append(mask)
     return run
 

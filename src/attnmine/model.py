@@ -56,13 +56,14 @@ class BackboneConfig:
         return math.prod(self.stage_strides)
 
     def check_input_dims(self, dims, what="input"):
-        """ValueError unless spatial `dims` are divisible by the stride product.
+        """ValueError unless spatial `dims` are positive multiples of the stride product.
 
         Then every stride-2 stage halves its input exactly, so the deep map
         is half the penultimate one.
         """
-        if dims[0] % self.stride_product or dims[1] % self.stride_product:
-            raise ValueError(f"{what} spatial dims {dims} must be divisible by {self.stride_product}")
+        stride = self.stride_product
+        if any(d < 1 or d % stride for d in dims):
+            raise ValueError(f"{what} spatial dims {dims} must be positive multiples of {stride}")
 
     @property
     def feature_channels(self):
@@ -167,13 +168,6 @@ class Network:
 
     def msa_aggregate(self, x_deep, x_shallow):
         """Reduce, upsample the deep stream 2x and concatenate (deep first)."""
-        if (
-            2 * x_deep.shape[1] != x_shallow.shape[1]
-            or 2 * x_deep.shape[2] != x_shallow.shape[2]
-        ):
-            raise ValueError(
-                f"deep map {x_deep.shape} is not half of shallow map {x_shallow.shape}"
-            )
         deep = ad.bilinear_upsample2x(
             ad.conv2d(x_deep, self.params["msa_deep_w"], self.params["msa_deep_b"])
         )

@@ -35,7 +35,6 @@ from attnmine.kp import (
 from attnmine.mining import (
     MiningConfig,
     aggregate_final_heatmap,
-    compute_cam,
     normalize01,
     run_am,
 )
@@ -180,8 +179,8 @@ class TestCriterion2Identities:
         )
         assert float(masked.data) == float(unmasked.data)
         w = net.branch_weight(0).data
-        cam = compute_cam(feat.data[0], np.ones(feat.shape[1:3]), w)
-        assert np.array_equal(cam, feat.data[0] @ w)
+        run = run_am(feat.data[0], w, MiningConfig(num_steps=1))
+        assert np.array_equal(run.raw_heatmaps[0], feat.data[0] @ w)
 
     def test_single_step_aggregate_is_plain_cam(self, setup):
         net, x, feat, labels = setup
@@ -191,7 +190,7 @@ class TestCriterion2Identities:
         run = run_am(f, w, MiningConfig(num_steps=1))
         assert run.steps_completed == 1
         final = aggregate_final_heatmap(run.heatmaps, run.masks)
-        plain, _ = normalize01(compute_cam(f, np.ones((6, 6)), w))
+        plain, _ = normalize01(f @ w)
         assert np.array_equal(final, plain)
 
     def test_identical_partitions_zero_drift(self, setup):

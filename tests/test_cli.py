@@ -365,7 +365,7 @@ class TestMine:
         assert main(["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--am-steps", "1", "--out", str(out)]) == 0
         net = load_checkpoint(out / "mined.npz")
         ids, images, labels, _ = load_dataset(dataset / "eval", 4)
-        from attnmine.mining import compute_cam, normalize01
+        from attnmine.mining import normalize01
 
         feat = net.forward_features(Tensor(images[..., None])).data
         checked = 0
@@ -374,8 +374,7 @@ class TestMine:
                 path = out / "heatmaps" / f"{image_id}_c{c}.pgm"
                 if not path.exists():
                     continue
-                cam = compute_cam(feat[i], np.ones(feat.shape[1:3]), net.branch_weight(c).data)
-                expected, degenerate = normalize01(cam)
+                expected, degenerate = normalize01(feat[i] @ net.branch_weight(c).data)
                 assert not degenerate
                 stored = attnmine.read_pgm(path)
                 np.testing.assert_allclose(stored, expected, atol=2e-5)
@@ -510,7 +509,22 @@ class TestImageDims:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:schema: ") and err.count("\n") == 1
-        assert f"{dataset / split}: image spatial dims (60, 60) must be divisible by 8" in err
+        assert f"{dataset / split}: image spatial dims (60, 60) must be positive multiples of 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "eval")])
+    def test_zero_size_images_rejected(self, tmp_path, dataset, small_config, trained, capsys, command, split):
+        for path in (dataset / split / "images").glob("*.pgm"):
+            path.write_bytes(b"P5\n0 0\n255\n")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema: ") and err.count("\n") == 1
+        assert f"{dataset / split}: image spatial dims (0, 0) must be positive multiples of 8" in err
         assert not out.exists()
 
 
@@ -632,6 +646,10 @@ class TestEval:
             ("pred", '{"image_id": "a", "class": 0, "x": 1, "y": 1, "w": 2, "h": 2, "score": Infinity}'),
             ("pred", '{"image_id": "a", "class": 0, "x": 1, "y": 1, "w": 2, "h": 2, "score": true}'),
             ("gt", '{"image_id": "a", "class": 0, "boxes": [[16.5, 0, 4, 4]], "labels": [1]}'),
+            # an image_id must be a JSON string: 5 and ["5"] are not the image "5"
+            ("gt", '{"image_id": 5, "class": 0, "boxes": [[0, 0, 4, 4]], "labels": [1]}'),
+            ("pred", '{"image_id": 5, "class": 0, "x": 0, "y": 0, "w": 4, "h": 4}'),
+            ("pred", '{"image_id": ["5"], "class": 0, "x": 0, "y": 0, "w": 4, "h": 4}'),
         ],
     )
     def test_unreadable_record_is_schema_error(self, tmp_path, capsys, name, line):

@@ -9,10 +9,8 @@ from attnmine import read_pgm
 from attnmine.mining import (
     MiningConfig,
     aggregate_final_heatmap,
-    binarize_cam,
-    compute_cam,
-    erase_component,
     flood_fill_component,
+    normalize01,
     run_am,
     write_heatmap_pgm,
     write_mask_pgm,
@@ -27,69 +25,78 @@ def blob(size, cx, cy, sigma, amp=1.0):
     return amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2))
 
 
-class TestComputeCam:
+def first_step(feat, w=None):
+    """run_am's first step on `feat`, with unit weights unless `w` is given."""
+    w = np.ones(feat.shape[-1]) if w is None else w
+    return run_am(feat, w, MiningConfig(num_steps=1))
+
+
+class TestProjection:
     def test_onehot_selector(self):
         rng = np.random.default_rng(0)
         feat = rng.normal(size=(5, 5, 3))
-        w = np.array([0.0, 1.0, 0.0])
-        cam = compute_cam(feat, np.ones((5, 5)), w)
-        np.testing.assert_array_equal(cam, feat[:, :, 1])
-
-    def test_zero_mask_annihilates(self):
-        feat = np.random.default_rng(1).normal(size=(4, 4, 2))
-        cam = compute_cam(feat, np.zeros((4, 4)), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(cam, 0.0)
+        run = first_step(feat, np.array([0.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(run.raw_heatmaps[0], feat[:, :, 1])
 
     def test_dot_product_single_pixel(self):
-        feat = np.array([[[0.5, 0.2]]])
-        cam = compute_cam(feat, np.ones((1, 1)), np.array([1.0, -1.0]))
-        assert cam[0, 0] == pytest.approx(0.3)
+        feat = np.array([[[0.5, 0.2]], [[0.0, 0.0]]])
+        run = first_step(feat, np.array([1.0, -1.0]))
+        assert run.raw_heatmaps[0][0, 0] == pytest.approx(0.3)
 
-    def test_nonbinary_mask_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            compute_cam(np.zeros((2, 2, 1)), np.full((2, 2), 0.5), np.ones(1))
+    def test_raw_heatmaps_are_projection_times_mask(self):
+        # every step's raw map is bit-equal to the plain projection under that step's mask
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            feat = rng.normal(size=(9, 7, 3))
+            w = rng.normal(size=3)
+            run = run_am(feat, w, MiningConfig(num_steps=4))
+            assert run.steps_completed >= 2
+            for t, raw in enumerate(run.raw_heatmaps):
+                assert np.array_equal(raw, (feat @ w) * run.masks[t])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_map_rejected(self, bad):
+        feat = np.zeros((4, 4, 2))
+        feat[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_am(feat, np.array([1.0, 0.5]), MiningConfig())
 
 
-class TestBinarizeCam:
+class TestThresholdAndPeak:
     def test_single_spike(self):
         h = np.zeros((4, 4))
         h[1, 2] = 3.0
-        norm, binary, max_loc, degenerate = binarize_cam(h, 0.5)
-        assert not degenerate
-        assert max_loc == (1, 2)
-        assert binary.sum() == 1 and binary[1, 2]
+        run = first_step(h[..., None])
+        assert run.steps_completed == 1
+        assert np.argwhere(run.masks[1] == 0).tolist() == [[1, 2]]
 
-    def test_constant_degenerate(self):
-        _, _, _, degenerate = binarize_cam(np.full((3, 3), 2.0), 0.5)
-        assert degenerate
-
-    def test_hand_normalization(self):
+    def test_hand_normalization_and_inclusive_threshold(self):
+        # 0.5 is erased at threshold 0.5: the binarization is >=
         h = np.array([[0.0, 0.2, 0.5, 1.0]])
-        norm, binary, max_loc, _ = binarize_cam(h, 0.5)
-        np.testing.assert_allclose(norm, h)
-        np.testing.assert_array_equal(binary, [[False, False, True, True]])
-        assert max_loc == (0, 3)
+        run = first_step(h[..., None])
+        np.testing.assert_allclose(run.heatmaps[0], h)
+        np.testing.assert_array_equal(run.masks[1], [[1.0, 1.0, 0.0, 0.0]])
 
     def test_rowmajor_tie_break(self):
         h = np.zeros((3, 3))
         h[2, 0] = h[0, 2] = 5.0
-        _, _, max_loc, _ = binarize_cam(h, 0.5)
-        assert max_loc == (0, 2)
+        run = first_step(h[..., None])
+        assert np.argwhere(run.masks[1] == 0).tolist() == [[0, 2]]
 
 
-class TestEraseComponent:
+class TestErase:
     def test_block_erased(self):
-        binary = np.zeros((5, 5), dtype=bool)
-        binary[1:3, 1:3] = True
-        mask = erase_component(np.ones((5, 5)), binary, (1, 1))
+        h = np.zeros((5, 5))
+        h[1:3, 1:3] = 1.0
+        mask = first_step(h[..., None]).masks[1]
         assert mask[1:3, 1:3].sum() == 0
         assert mask.sum() == 25 - 4
 
     def test_disjoint_blob_untouched(self):
-        binary = np.zeros((6, 6), dtype=bool)
-        binary[0:2, 0:2] = True  # blob A
-        binary[4:6, 4:6] = True  # blob B
-        mask = erase_component(np.ones((6, 6)), binary, (0, 0))
+        h = np.zeros((6, 6))
+        h[0:2, 0:2] = 1.0  # blob A, holding the peak
+        h[4:6, 4:6] = 0.8  # blob B, above threshold but not connected
+        mask = first_step(h[..., None]).masks[1]
         assert mask[0:2, 0:2].sum() == 0
         assert mask[4:6, 4:6].sum() == 4
 
@@ -122,7 +129,7 @@ class TestEraseComponent:
 
     def test_unset_seed_rejected(self):
         with pytest.raises(ValueError, match="not set"):
-            erase_component(np.ones((3, 3)), np.zeros((3, 3), dtype=bool), (1, 1))
+            flood_fill_component(np.zeros((3, 3), dtype=bool), (1, 1))
 
 
 def two_blob_feat(size=12):
@@ -137,7 +144,7 @@ class TestRunAm:
         run = run_am(feat, np.ones(1), MiningConfig(num_steps=1))
         assert run.steps_completed == 1
         assert len(run.masks) == 2
-        norm, _, _, _ = binarize_cam(feat[..., 0], 0.5)
+        norm, _ = normalize01(feat[..., 0])
         np.testing.assert_array_equal(run.heatmaps[0], norm)
 
     def test_peak_migrates_to_weak_blob(self):

@@ -49,7 +49,7 @@ class TestForwardStages:
         np.testing.assert_array_equal(deep.data[0], deep.data[1])
 
     def test_indivisible_dims_rejected(self, net):
-        with pytest.raises(ValueError, match="divisible by 8"):
+        with pytest.raises(ValueError, match="positive multiples of 8"):
             net.forward_stages(Tensor(np.zeros((1, 60, 60, 1))))
 
 
@@ -79,7 +79,7 @@ class TestMsaAggregate:
         np.testing.assert_array_equal(out[..., 32:], 0.0)
 
     def test_spatial_mismatch_rejected(self, net):
-        with pytest.raises(ValueError, match="half"):
+        with pytest.raises(ValueError, match="spatial mismatch"):
             net.msa_aggregate(
                 Tensor(np.zeros((1, 8, 8, 64))), Tensor(np.zeros((1, 20, 16, 32)))
             )
