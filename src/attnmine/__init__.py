@@ -46,7 +46,14 @@ def read_pgm(path):
     cols, rows, maxval = map(int, header.groups())
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
-    q = np.frombuffer(data[header.end():], _pgm_dtype(maxval)).reshape(rows, cols)
+    dtype = np.dtype(_pgm_dtype(maxval))
+    samples = data[header.end():]
+    if len(samples) != rows * cols * dtype.itemsize:
+        raise ValueError(
+            f"{path}: PGM has {len(samples)} sample bytes, its {cols}x{rows} header"
+            f" needs {rows * cols * dtype.itemsize}"
+        )
+    q = np.frombuffer(samples, dtype).reshape(rows, cols)
     if q.max(initial=0) > maxval:
         raise ValueError(f"{path}: PGM sample {q.max()} exceeds maxval {maxval}")
     return q.astype(np.float64) / maxval

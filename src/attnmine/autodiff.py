@@ -103,14 +103,11 @@ def _pad_same(x, kw, kh):
 
 
 def _im2col(xp, kw, kh, stride, ow, oh):
+    """(N, ow, oh, kw*kh*d) patch matrix of a padded map, built in one copy."""
     n, _, _, d = xp.shape
-    cols = np.empty((n, ow, oh, kw, kh, d), dtype=np.float64)
-    for i in range(kw):
-        for j in range(kh):
-            cols[:, :, :, i, j, :] = xp[
-                :, i : i + ow * stride : stride, j : j + oh * stride : stride, :
-            ]
-    return cols.reshape(n, ow, oh, kw * kh * d)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kw, kh), axis=(1, 2))
+    taps = windows[:, : ow * stride : stride, : oh * stride : stride].transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(taps).reshape(n, ow, oh, kw * kh * d)
 
 
 def conv2d(x, kernel, bias=None, stride=1):

@@ -4,6 +4,7 @@ During masked fine-tuning a mini-batch is split: the leading fraction is
 used for erasure training, the remainder only feeds the drift penalty.
 The penalty is the l2 distance between GAP features of the frozen and
 the updating network at a fixed set of layers, averaged over layers.
+Fine-tuning passes the frozen side as GAP rows it computed once per run.
 """
 
 from __future__ import annotations
@@ -43,19 +44,22 @@ def partition_batch(batch_size, kp_config: KPConfig):
 
 
 def _gap_distance(a, b):
-    """||gap(a) - gap(b)||_2 of two (N, W, H, D) maps; (N, D) logit matrices are used as-is."""
+    """||a - b||_2 of two (N, D) matrices; a side that is an (N, W, H, D) map is GAP'd first.
+
+    Each side is GAP'd on its own, so cached (N, D) frozen rows can be held
+    to a live map; the two (N, D) results must then have equal shapes.
+    """
+    a, b = (ad.gap(x) if len(x.shape) == 4 else x for x in (a, b))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if len(a.shape) == 4:
-        a, b = ad.gap(a), ad.gap(b)
     return ad.l2_norm(ad.sub(a, b))
 
 
 def kp_layer_loss(feat_frozen, feat_updating):
     """l2 distance of stacked GAP features, scaled by 1/batch.
 
-    Both inputs are (N, W, H, D) Tensors (the frozen one carries no
-    gradient) or (N, D) logit matrices.
+    Each input is an (N, W, H, D) map Tensor or an (N, D) matrix: GAP
+    rows or logits.  The frozen side carries no gradient.
     """
     return ad.scale(_gap_distance(feat_frozen, feat_updating), 1.0 / feat_frozen.shape[0])
 

@@ -170,6 +170,7 @@ def load_dataset(data_dir, num_classes):
 
     Every record of an image must carry the same labels, `num_classes` of
     them, and the manifest must hold a record; else ValueError naming it.
+    Images of more than one size raise ValueError naming the split.
     """
     data_dir = Path(data_dir)
     path = data_dir / "manifest.jsonl"
@@ -186,8 +187,12 @@ def load_dataset(data_dir, num_classes):
     if not labels:
         raise ValueError(f"{path}: no records")
     ids = sorted(labels)
-    images = np.stack(
-        [read_image_pgm(data_dir / "images" / f"{iid}.pgm") for iid in ids]
-    )
+    images = [read_image_pgm(data_dir / "images" / f"{iid}.pgm") for iid in ids]
+    for iid, image in zip(ids, images):
+        if image.shape != images[0].shape:
+            raise ValueError(
+                f"{data_dir}: image {iid} is {image.shape}, image {ids[0]} is {images[0].shape}"
+            )
+    images = np.stack(images)
     label_matrix = np.array([labels[iid] for iid in ids], dtype=np.float64)
     return ids, images, label_matrix, manifest

@@ -24,6 +24,9 @@ from .kp import (
 )
 from .mining import MiningConfig, aggregate_final_heatmap, normalize01, run_am
 
+# the drift layers whose frozen side is a feature map; the last, "logits", is not
+MAP_LAYERS = DEFAULT_LAYERS[:-1]
+
 
 def roc_auc(scores, labels):
     """Rank-based ROC AUC for one binary column."""
@@ -109,6 +112,23 @@ def masks_for_batch(net, feat_data, labels, erase_steps, mining_config):
     return masks
 
 
+def _frozen_rows(frozen, images, batch_size):
+    """{layer: (N, D) GAP rows} of the snapshot's drift-layer maps, `batch_size` images at a time.
+
+    An image's rows do not depend on the batch it is forwarded in, so
+    one pass serves every epoch.  Its logits do (an (N, D) @ (D,) product
+    depends on N), so they are not kept: each step recomputes them from
+    the gathered `aggregated` rows.
+    """
+    rows = {name: [] for name in MAP_LAYERS}
+    for batch in _batches(len(images), batch_size):
+        cap = {}
+        frozen.forward_features(images[batch][..., None], capture=cap)
+        for name in MAP_LAYERS:
+            rows[name].append(ad.gap(cap[name]).data)
+    return {name: np.concatenate(chunks) for name, chunks in rows.items()}
+
+
 def am_finetune(
     net,
     images,
@@ -124,10 +144,14 @@ def am_finetune(
 
     Batches are drawn in a seeded per-epoch shuffled order so the
     partitioned AM subset rotates over the dataset instead of pinning
-    the same few samples every epoch.  Returns the per-step loss log.
+    the same few samples every epoch.  In ``full`` mode the snapshot is
+    forwarded once, before the first epoch (`_frozen_rows`).  Returns the
+    per-step loss log.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    frozen = net.snapshot()
+    if kp_config.mode == "full":
+        frozen = net.snapshot()
+        frozen_rows = _frozen_rows(frozen, images, batch_size)
     rng = np.random.default_rng(shuffle_seed)
     log = []
     # phase t runs epochs // T epochs, plus one for each of the first epochs % T phases
@@ -149,11 +173,17 @@ def am_finetune(
                     # samples contribute zero classification loss
                     cls_loss = ad.scale(cls_loss, n / len(idx))
                     if kp_config.mode == "full":
-                        cap_a, cap_b = {}, {}
-                        frozen.forward_features(batch_images[n:], capture=cap_a)
-                        net.forward_features(batch_images[n:], capture=cap_b)
+                        held = {k: ad.Tensor(rows[idx[n:]]) for k, rows in frozen_rows.items()}
+                        held["logits"] = ad.stack_vectors(
+                            [
+                                ad.matvec(held["aggregated"], frozen.branch_weight(c))
+                                for c in range(net.num_classes)
+                            ]
+                        )
+                        cap = {}
+                        net.forward_features(batch_images[n:], capture=cap)
                         kp_loss = kp_total_loss(
-                            [kp_layer_loss(cap_a[name], cap_b[name]) for name in DEFAULT_LAYERS]
+                            [kp_layer_loss(held[name], cap[name]) for name in DEFAULT_LAYERS]
                         )
 
                 loss = combined_loss(cls_loss, kp_loss, kp_config.weight)

@@ -56,6 +56,37 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def _im2col_loop(xp, kw, kh, stride, ow, oh):
+    """The per-tap reference `ad._im2col` must copy exactly: one strided slice a kernel tap."""
+    n, _, _, d = xp.shape
+    cols = np.empty((n, ow, oh, kw, kh, d), dtype=np.float64)
+    for i in range(kw):
+        for j in range(kh):
+            cols[:, :, :, i, j, :] = xp[
+                :, i : i + ow * stride : stride, j : j + oh * stride : stride, :
+            ]
+    return cols.reshape(n, ow, oh, kw * kh * d)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n, w, h, d", [(1, 8, 8, 1), (3, 7, 5, 2), (2, 6, 9, 4), (16, 16, 16, 8)])
+    def test_equals_per_tap_loop(self, stride, k, n, w, h, d):
+        x = np.random.default_rng(w * h + d).normal(size=(n, w, h, d))
+        xp, _ = ad._pad_same(x, k, k)
+        ow, oh = -(-w // stride), -(-h // stride)
+        cols = ad._im2col(xp, k, k, stride, ow, oh)
+        assert cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, _im2col_loop(xp, k, k, stride, ow, oh))
+
+    def test_rectangular_kernel(self):
+        x = np.random.default_rng(4).normal(size=(2, 5, 6, 3))
+        xp, _ = ad._pad_same(x, 3, 1)
+        cols = ad._im2col(xp, 3, 1, 2, 3, 3)
+        np.testing.assert_array_equal(cols, _im2col_loop(xp, 3, 1, 2, 3, 3))
+
+
 class TestGap:
     def test_constant(self):
         out = ad.gap(Tensor(np.full((3, 4, 5, 2), 2.75)))

@@ -528,6 +528,38 @@ class TestImageDims:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "eval")])
+    def test_truncated_image_is_schema_error_naming_it(self, tmp_path, dataset, small_config, trained, capsys, command, split):
+        path = sorted((dataset / split / "images").glob("*.pgm"))[1]
+        path.write_bytes(path.read_bytes()[:40])
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error:schema: {path}: PGM has 27 sample bytes, its 64x64 header needs 4096\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
+    def test_mixed_image_sizes_are_schema_error_naming_the_split(self, tmp_path, dataset, small_config, trained, capsys, command, split):
+        paths = sorted((dataset / split / "images").glob("*.pgm"))
+        attnmine.write_pgm(paths[2], read_image_pgm(paths[2])[:32, :32], 255)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
+            "mine": ["mine", "--config", small_config, "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error:schema: {dataset / split}: image {paths[2].stem} is (32, 32),"
+            f" image {paths[0].stem} is (64, 64)\n"
+        )
+        assert not out.exists()
+
+
 class TestEmptyManifest:
     @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
     def test_empty_manifest_is_schema_error_naming_it(self, tmp_path, dataset, small_config, trained, capsys, command, split):
@@ -705,6 +737,9 @@ class TestReaders:
             (b"P5\n1 1\n65536\n\x00\x00", "maxval 65536 is outside 1..65535"),
             (b"P5\n2 1\n10\n\x05\xff", "sample 255 exceeds maxval 10"),
             (b"P5\n1 1\n300\n\x01\x2d", "sample 301 exceeds maxval 300"),
+            (b"P5\n2 2\n255\n\x00\x00\x00", "3 sample bytes, its 2x2 header needs 4"),
+            (b"P5\n2 1\n255\n\x00\x00\x00", "3 sample bytes, its 2x1 header needs 2"),
+            (b"P5\n1 1\n300\n\x01", "1 sample bytes, its 1x1 header needs 2"),
         ],
     )
     def test_pgm_maxval_and_samples_checked(self, tmp_path, pgm, error):

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from attnmine import autodiff as ad
 from attnmine.autodiff import Tensor
 from attnmine.kp import (
     DEFAULT_LAYERS,
@@ -13,7 +16,7 @@ from attnmine.kp import (
 )
 from attnmine.mining import MiningConfig
 from attnmine.model import BackboneConfig, Network
-from attnmine.train import am_finetune
+from attnmine.train import MAP_LAYERS, _frozen_rows, am_finetune, masks_for_batch
 
 from gradcheck import finite_diff_check
 
@@ -59,6 +62,91 @@ def test_finetune_phases_and_split(mode):
     assert all(e["loss"] == e["cls_loss"] for e in log if e["kp_loss"] is None)
 
 
+@pytest.mark.parametrize("use_msa", [True, False])
+def test_frozen_rows_do_not_depend_on_the_batch(use_msa):
+    # the cache's premise: an image's GAP rows are the same bits whether it
+    # is forwarded alone, in a 16-image batch or in the chunked cache pass
+    rng = np.random.default_rng(11)
+    frozen = Network(BackboneConfig(use_msa=use_msa), seed=4).snapshot()
+    images = rng.uniform(0, 1, (20, 64, 64))
+    cached = _frozen_rows(frozen, images, 16)  # chunks of 16 and 4
+    batch = {}
+    frozen.forward_features(images[3:19][..., None], capture=batch)  # straddles the chunks
+    for i in (3, 10, 15, 16, 18):
+        alone = {}
+        frozen.forward_features(images[i : i + 1][..., None], capture=alone)
+        for name in MAP_LAYERS:
+            row = ad.gap(alone[name]).data[0].tobytes()
+            assert ad.gap(batch[name]).data[i - 3].tobytes() == row, (i, name)
+            assert cached[name][i].tobytes() == row, (i, name)
+
+
+def _finetune_reforwarding(net, images, labels, mining_config, kp_config, epochs, lr, batch_size):
+    """`am_finetune` in full mode with the snapshot forwarding every batch's
+    untouched samples, the reference for the cached frozen rows."""
+    labels = np.asarray(labels, dtype=np.float64)
+    frozen = net.snapshot()
+    rng = np.random.default_rng(0)
+    log = []
+    for phase, epoch_ids in enumerate(np.array_split(range(epochs), mining_config.num_steps), 1):
+        for _ in epoch_ids:
+            order = rng.permutation(len(images))
+            for start in range(0, len(images), batch_size):
+                idx = order[start : start + batch_size].tolist()
+                batch_images = images[idx][..., None]
+                batch_labels = labels[idx]
+                n = partition_batch(len(idx), kp_config)
+                feat = net.forward_features(batch_images[:n])
+                masks = masks_for_batch(net, feat.data, batch_labels[:n], phase - 1, mining_config)
+                cls_loss = net.classification_loss(feat, masks, batch_labels[:n])
+                kp_loss = None
+                if n < len(idx):
+                    cls_loss = ad.scale(cls_loss, n / len(idx))
+                    cap_a, cap_b = {}, {}
+                    frozen.forward_features(batch_images[n:], capture=cap_a)
+                    net.forward_features(batch_images[n:], capture=cap_b)
+                    kp_loss = kp_total_loss(
+                        [kp_layer_loss(cap_a[name], cap_b[name]) for name in DEFAULT_LAYERS]
+                    )
+                loss = combined_loss(cls_loss, kp_loss, kp_config.weight)
+                net.zero_grad()
+                loss.backward()
+                ad.sgd_step(net.param_list(), lr)
+                log.append(
+                    {
+                        "phase": phase,
+                        "loss": float(loss.data),
+                        "cls_loss": float(cls_loss.data),
+                        "kp_loss": None if kp_loss is None else float(kp_loss.data),
+                    }
+                )
+    return log
+
+
+@pytest.mark.parametrize("use_msa", [True, False])
+@pytest.mark.parametrize("batch_size, count", [(16, 17), (7, 15)])
+def test_cached_frozen_rows_match_reforwarding(use_msa, batch_size, count):
+    # each count leaves a one-sample last batch, which takes no drift loss
+    rng = np.random.default_rng(batch_size)
+    images = rng.uniform(0, 1, (count, 32, 32))
+    labels = rng.integers(0, 2, (count, 4))
+    runs = []
+    for finetune in (am_finetune, _finetune_reforwarding):
+        net = Network(BackboneConfig(use_msa=use_msa), seed=2)
+        for c in range(net.num_classes):
+            net.branch_weight(c).data[:] = np.random.default_rng(c).normal(size=net.config.feature_channels)
+        log = finetune(
+            net, images, labels, MiningConfig(num_steps=3), KPConfig(mode="full"),
+            epochs=3, lr=0.05, batch_size=batch_size,
+        )
+        digest = hashlib.sha256(b"".join(p.data.tobytes() for p in net.param_list())).hexdigest()
+        runs.append((log, digest))
+    (log, digest), (ref_log, ref_digest) = runs
+    assert [e["kp_loss"] is None for e in log] == ([False] * (count // batch_size) + [True]) * 3
+    assert log == ref_log
+    assert digest == ref_digest
+
+
 class TestKpLayerLoss:
     def test_identical_is_zero(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 4, 2)))
@@ -82,6 +170,14 @@ class TestKpLayerLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             kp_layer_loss(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 2, 2, 2))))
+        with pytest.raises(ValueError, match="mismatch"):
+            kp_layer_loss(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2, 2, 3))))
+
+    def test_gap_rows_against_a_map(self):
+        rng = np.random.default_rng(2)
+        a, b = Tensor(rng.normal(size=(3, 4, 4, 2))), Tensor(rng.normal(size=(3, 4, 4, 2)), requires_grad=True)
+        rows = Tensor(a.data.mean(axis=(1, 2)))
+        assert float(kp_layer_loss(rows, b).data) == float(kp_layer_loss(a, b).data)
 
 
 class TestKpTotalLoss:

@@ -4,9 +4,11 @@ Usage: python tools/tree_digest.py SRC WORK
 
 Runs gen-data -> train -> mine (--kp off, vanilla and full) -> eval with the
 package under SRC (put on PYTHONPATH) and OPENBLAS_NUM_THREADS=1, inside the
-directory WORK, which must not exist or be empty.  Prints one sorted
-``sha256  path`` line for every file the run writes and for each command's
-stdout (as ``stdout/<step>``).  Two listings that `diff` clean mean the two
+directory WORK, which must not exist or be empty.  A single-scale backbone
+(``use_msa: false``) gets its own train and ``mine --kp full`` on the same
+data, so the drift regularizer's single-scale path is covered too.  Prints
+one sorted ``sha256  path`` line for every file the run writes and for each
+command's stdout (as ``stdout/<step>``).  Two listings that `diff` clean mean the two
 source trees produce the same bytes.
 
 The config covers a one-sample last training batch (17 images at batch size
@@ -30,20 +32,27 @@ CONFIG = {
     "finetune_epochs": 4,
     "am_steps": 3,
 }
+CONFIGS = {"config.json": CONFIG, "config-plain.json": {**CONFIG, "use_msa": False}}
 
 
 def _steps():
-    yield "gen-data", ["gen-data", "--out", "data"]
-    yield "train", ["train", "--data", "data", "--out", "model"]
+    """(step name, CLI arguments, config file) of each command, in run order."""
+    yield "gen-data", ["gen-data", "--out", "data"], "config.json"
+    yield "train", ["train", "--data", "data", "--out", "model"], "config.json"
     for mode in ("off", "vanilla", "full"):
         yield f"mine-{mode}", [
             "mine", "--checkpoint", "model/baseline.npz", "--data", "data",
             "--kp", mode, "--out", f"mine-{mode}",
-        ]
+        ], "config.json"
         yield f"eval-{mode}", [
             "eval", "--predictions", f"mine-{mode}/predictions.jsonl",
             "--ground-truth", "data/eval/manifest.jsonl", "--out", f"eval-{mode}",
-        ]
+        ], "config.json"
+    yield "train-plain", ["train", "--data", "data", "--out", "model-plain"], "config-plain.json"
+    yield "mine-plain-full", [
+        "mine", "--checkpoint", "model-plain/baseline.npz", "--data", "data",
+        "--kp", "full", "--out", "mine-plain-full",
+    ], "config-plain.json"
 
 
 def main(argv):
@@ -53,11 +62,12 @@ def main(argv):
     if work.exists() and any(work.iterdir()):
         sys.exit(f"{work} is not empty")
     work.mkdir(parents=True, exist_ok=True)
-    (work / "config.json").write_text(json.dumps(CONFIG))
+    for name, config in CONFIGS.items():
+        (work / name).write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     digests = {}
-    for name, args in _steps():
-        cmd = [sys.executable, "-m", "attnmine.cli", *args, "--config", "config.json"]
+    for name, args, config in _steps():
+        cmd = [sys.executable, "-m", "attnmine.cli", *args, "--config", config]
         run = subprocess.run(cmd, cwd=work, env=env, capture_output=True)
         if run.returncode:
             sys.exit(f"{name} exited {run.returncode}: {run.stderr.decode().strip()}")
