@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -76,10 +77,11 @@ class RunConfig:
         """Defaults, then the JSON object at `path`, then the non-None overrides.
 
         Every value must have its default's JSON type (an int also serves
-        for a float) and make valid sub-configs; `batch_size`, `epochs` and
-        the split counts must be >= 1, `seed` and `finetune_epochs` >= 0,
-        both learning rates > 0, and `image_size` a positive multiple of
-        the backbone's stride product; else CommandError("config").
+        for a float), be finite and make valid sub-configs; `batch_size`,
+        `epochs` and the split counts must be >= 1, `seed` and
+        `finetune_epochs` >= 0, both learning rates > 0, and `image_size` a
+        positive multiple of the backbone's stride product; else
+        CommandError("config").
         """
         data = {}
         if path:
@@ -100,6 +102,9 @@ class RunConfig:
             if not _same_json_type(value, default):
                 kind = type(default).__name__
                 raise CommandError("config", f"{key} must be of type {kind}, not {value!r}")
+            items = value if isinstance(value, list) else [value]
+            if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+                raise CommandError("config", f"{key} must be finite, not {value!r}")
         config = cls(**data)
         for key, low in (
             ("batch_size", 1), ("train_count", 1), ("eval_count", 1), ("seed", 0),

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autodiff as ad
+from .model import pooled
 
 # the capture keys of `Network.forward_features` that the drift penalty compares
 DEFAULT_LAYERS = ("stage_penultimate", "stage_last", "aggregated", "logits")
@@ -49,7 +50,7 @@ def _gap_distance(a, b):
     Each side is GAP'd on its own, so cached (N, D) frozen rows can be held
     to a live map; the two (N, D) results must then have equal shapes.
     """
-    a, b = (ad.gap(x) if len(x.shape) == 4 else x for x in (a, b))
+    a, b = pooled(a), pooled(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return ad.l2_norm(ad.sub(a, b))
@@ -81,11 +82,9 @@ def combined_loss(cls_loss, kp_loss, weight):
 def gap_drift(net_frozen, net_updating, images):
     """Held-out GAP feature drift per layer: ||g(X_frozen) - g(X_updating)||_2.
 
-    `images` is an (N, W, H) array.  Returns {layer_name: float} over
-    DEFAULT_LAYERS; used to quantify how far fine-tuning moved the
-    network from its snapshot.
+    `images` is an (N, W, H) array, forwarded in `Network.gap_rows` chunks.
+    Returns {layer_name: float} over DEFAULT_LAYERS; used to quantify how
+    far fine-tuning moved the network from its snapshot.
     """
-    cap_a, cap_b = {}, {}
-    net_frozen.forward_features(images[..., None], capture=cap_a)
-    net_updating.forward_features(images[..., None], capture=cap_b)
-    return {name: float(_gap_distance(cap_a[name], cap_b[name]).data) for name in DEFAULT_LAYERS}
+    a, b = (net.gap_rows(images, DEFAULT_LAYERS) for net in (net_frozen, net_updating))
+    return {name: float(_gap_distance(a[name], b[name]).data) for name in DEFAULT_LAYERS}

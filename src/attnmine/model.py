@@ -72,6 +72,11 @@ class BackboneConfig:
         return self.stage_channels[-1]
 
 
+def pooled(x):
+    """The GAP of an (N, W, H, D) map Tensor, or `x` itself when it is already (N, D) rows."""
+    return ad.gap(x) if len(x.shape) == 4 else x
+
+
 def _he_uniform(rng, shape, fan_in):
     # fan-in-only scaling keeps activation variance stable under ReLU;
     # symmetric-fan scaling attenuates ~3x per stage in this stack
@@ -195,14 +200,29 @@ class Network:
             capture["logits"] = ad.stack_vectors(self.all_logits(feat))
         return feat
 
+    def gap_rows(self, images, names, batch_size=16):
+        """{name: (N, D) pooled rows} of the `forward_features` captures `names`.
+
+        `images` (N, W, H) are forwarded `batch_size` at a time.  An image's
+        map rows do not depend on the batch it is forwarded in; its logits
+        do, as an (N, D) @ (D,) product depends on N.
+        """
+        rows = {name: [] for name in names}
+        for start in range(0, len(images), batch_size):
+            cap = {}
+            self.forward_features(images[start : start + batch_size][..., None], capture=cap)
+            for name in names:
+                rows[name].append(pooled(cap[name]).data)
+        return {name: np.concatenate(chunks) for name, chunks in rows.items()}
+
     def branch_logits(self, feat, c):
-        """logit[n] = w_c . gap(feat)[n] for one class branch."""
+        """logit[n] = w_c . gap(feat)[n] for one class branch; `feat` is a map or its GAP rows."""
         w = self.branch_weight(c)
-        if feat.shape[3] != w.shape[0]:
+        if feat.shape[-1] != w.shape[0]:
             raise ValueError(
-                f"feature channels {feat.shape[3]} != branch weight length {w.shape[0]}"
+                f"feature channels {feat.shape[-1]} != branch weight length {w.shape[0]}"
             )
-        return ad.matvec(ad.gap(feat), w)
+        return ad.matvec(pooled(feat), w)
 
     def all_logits(self, feat):
         """(N, C) logits as a list of per-class Tensors."""

@@ -64,11 +64,7 @@ def _step(net, loss, lr):
 
 def predict_logits(net, images, batch_size=16):
     """(N, C) logits, forwarded `batch_size` images at a time."""
-    logits = []
-    for batch in _batches(len(images), batch_size):
-        feat = net.forward_features(images[batch][..., None])
-        logits.append(np.stack([l.data for l in net.all_logits(feat)], axis=1))
-    return np.concatenate(logits)
+    return net.gap_rows(images, ("logits",), batch_size)["logits"]
 
 
 def train_baseline(net, images, labels, epochs=200, lr=0.5, batch_size=16):
@@ -112,23 +108,6 @@ def masks_for_batch(net, feat_data, labels, erase_steps, mining_config):
     return masks
 
 
-def _frozen_rows(frozen, images, batch_size):
-    """{layer: (N, D) GAP rows} of the snapshot's drift-layer maps, `batch_size` images at a time.
-
-    An image's rows do not depend on the batch it is forwarded in, so
-    one pass serves every epoch.  Its logits do (an (N, D) @ (D,) product
-    depends on N), so they are not kept: each step recomputes them from
-    the gathered `aggregated` rows.
-    """
-    rows = {name: [] for name in MAP_LAYERS}
-    for batch in _batches(len(images), batch_size):
-        cap = {}
-        frozen.forward_features(images[batch][..., None], capture=cap)
-        for name in MAP_LAYERS:
-            rows[name].append(ad.gap(cap[name]).data)
-    return {name: np.concatenate(chunks) for name, chunks in rows.items()}
-
-
 def am_finetune(
     net,
     images,
@@ -145,13 +124,13 @@ def am_finetune(
     Batches are drawn in a seeded per-epoch shuffled order so the
     partitioned AM subset rotates over the dataset instead of pinning
     the same few samples every epoch.  In ``full`` mode the snapshot is
-    forwarded once, before the first epoch (`_frozen_rows`).  Returns the
-    per-step loss log.
+    forwarded once, before the first epoch (`Network.gap_rows`).  Returns
+    the per-step loss log.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if kp_config.mode == "full":
         frozen = net.snapshot()
-        frozen_rows = _frozen_rows(frozen, images, batch_size)
+        frozen_rows = frozen.gap_rows(images, MAP_LAYERS, batch_size)
     rng = np.random.default_rng(shuffle_seed)
     log = []
     # phase t runs epochs // T epochs, plus one for each of the first epochs % T phases
@@ -174,12 +153,7 @@ def am_finetune(
                     cls_loss = ad.scale(cls_loss, n / len(idx))
                     if kp_config.mode == "full":
                         held = {k: ad.Tensor(rows[idx[n:]]) for k, rows in frozen_rows.items()}
-                        held["logits"] = ad.stack_vectors(
-                            [
-                                ad.matvec(held["aggregated"], frozen.branch_weight(c))
-                                for c in range(net.num_classes)
-                            ]
-                        )
+                        held["logits"] = ad.stack_vectors(frozen.all_logits(held["aggregated"]))
                         cap = {}
                         net.forward_features(batch_images[n:], capture=cap)
                         kp_loss = kp_total_loss(

@@ -1,4 +1,6 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures shared by several test modules, and the run's peak-memory line."""
+
+import resource
 
 import numpy as np
 import pytest
@@ -37,3 +39,9 @@ def small_net_and_input():
     """The function (seed, rng) -> (net, x) of a tiny network and a
     (2, 8, 8, 1) input at least 1e-3 away from every ReLU kink."""
     return _small_net_and_input
+
+
+def pytest_terminal_summary(terminalreporter):
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    terminalreporter.write_line(f"peak RSS of the test process: {peak_mb:.0f} MB")

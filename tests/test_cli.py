@@ -156,6 +156,17 @@ class TestRunConfig:
             ("stage_channels", [-1, 16, 32, 64]),
             ("stage_strides", [1, 2, 2, 1]),
             ("stage_strides", [2, 2, 2, 1]),
+            *[
+                (key, value)
+                for nonfinite in (float("nan"), float("inf"), float("-inf"))
+                for key, value in (
+                    ("lr", nonfinite),
+                    ("finetune_lr", nonfinite),
+                    ("kp_weight", nonfinite),
+                    ("afp_upper_bound", nonfinite),
+                    ("bbox_thresholds", [0.75, nonfinite, 0.25]),
+                )
+            ],
         ],
     )
     def test_out_of_range_value_is_config_error_naming_it(self, tmp_path, capsys, key, value):

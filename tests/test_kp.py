@@ -16,7 +16,7 @@ from attnmine.kp import (
 )
 from attnmine.mining import MiningConfig
 from attnmine.model import BackboneConfig, Network
-from attnmine.train import MAP_LAYERS, _frozen_rows, am_finetune, masks_for_batch
+from attnmine.train import MAP_LAYERS, am_finetune, masks_for_batch
 
 from gradcheck import finite_diff_check
 
@@ -65,11 +65,11 @@ def test_finetune_phases_and_split(mode):
 @pytest.mark.parametrize("use_msa", [True, False])
 def test_frozen_rows_do_not_depend_on_the_batch(use_msa):
     # the cache's premise: an image's GAP rows are the same bits whether it
-    # is forwarded alone, in a 16-image batch or in the chunked cache pass
+    # is forwarded alone, in a 16-image batch or in the chunked `gap_rows` pass
     rng = np.random.default_rng(11)
     frozen = Network(BackboneConfig(use_msa=use_msa), seed=4).snapshot()
     images = rng.uniform(0, 1, (20, 64, 64))
-    cached = _frozen_rows(frozen, images, 16)  # chunks of 16 and 4
+    cached = frozen.gap_rows(images, MAP_LAYERS, 16)  # chunks of 16 and 4
     batch = {}
     frozen.forward_features(images[3:19][..., None], capture=batch)  # straddles the chunks
     for i in (3, 10, 15, 16, 18):
@@ -273,7 +273,7 @@ def test_gap_drift_matches_numpy_oracle():
     for net in nets:
         for c in range(net.num_classes):
             net.branch_weight(c).data[:] = rng.normal(size=net.config.feature_channels)
-    images = rng.uniform(0, 1, (3, 16, 16))
+    images = rng.uniform(0, 1, (20, 16, 16))  # two chunks
     drift = gap_drift(*nets, images)
     cap_a, cap_b = {}, {}
     nets[0].forward_features(images[..., None], capture=cap_a)
@@ -285,3 +285,17 @@ def test_gap_drift_matches_numpy_oracle():
         expected = np.linalg.norm(da - db)
         assert expected > 0
         np.testing.assert_allclose(drift[name], expected, rtol=1e-12)
+
+
+def test_gap_drift_forwards_in_chunks(monkeypatch):
+    batch_sizes = []
+    forward = Network.forward_features
+
+    def recording(self, image, capture=None):
+        batch_sizes.append(image.shape[0])
+        return forward(self, image, capture)
+
+    monkeypatch.setattr(Network, "forward_features", recording)
+    net = Network(BackboneConfig(), seed=5)
+    gap_drift(net.snapshot(), net, np.random.default_rng(8).uniform(0, 1, (20, 16, 16)))
+    assert sorted(batch_sizes) == [4, 4, 16, 16]

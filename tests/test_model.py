@@ -113,6 +113,22 @@ class TestBranchLogits:
     def test_length_mismatch_rejected(self, net):
         with pytest.raises(ValueError, match="channels"):
             net.branch_logits(Tensor(np.zeros((1, 4, 4, 10))), 0)
+        with pytest.raises(ValueError, match="channels"):
+            net.branch_logits(Tensor(np.zeros((1, 10))), 0)
+
+    @pytest.mark.parametrize("use_msa", [True, False])
+    def test_gap_rows_give_the_bytes_of_the_map(self, use_msa):
+        # fine-tuning computes the snapshot's logits from its cached GAP rows
+        rng = np.random.default_rng(9)
+        net = Network(BackboneConfig(use_msa=use_msa), seed=2)
+        for c in range(net.num_classes):
+            net.branch_weight(c).data[:] = rng.normal(size=net.config.feature_channels)
+        feat = net.forward_features(rng.uniform(0, 1, (5, 16, 16, 1)))
+        rows = Tensor(ad.gap(feat).data)
+        for c in range(net.num_classes):
+            on_map = net.branch_logits(feat, c).data
+            assert np.any(on_map != 0)
+            assert net.branch_logits(rows, c).data.tobytes() == on_map.tobytes(), c
 
 
 class TestClassificationLoss:
