@@ -6,6 +6,9 @@ bilinear upsampling, ReLU, channel concatenation, elementwise
 arithmetic and the numerically stable sigmoid cross-entropy.  Every
 operation carries an analytic gradient, which the tests verify against
 central differences with tests/gradcheck.py.
+
+Ops take Tensors and never wrap an array: a constant input is passed
+as `Tensor(array)`, except the documented constant arguments.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ class Tensor:
     has a parent that requires one.  One that does not keeps no parents
     and no backward closure, so a forward that no gradient reaches builds
     no tape and an op's saved buffers are freed as soon as its output is.
+
+    A Tensor argument of an op is a node of the graph, and a constant is
+    an explicit array argument (`mul_const`'s `const`, `sigmoid_bce`'s
+    `labels`).  An array passed where a Tensor belongs raises.
     """
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
@@ -85,11 +92,8 @@ def _post_order(t, seen, order):
     order.append(t)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _check_finite(name, arr):
+def check_finite(name, arr):
+    """ValueError naming `name` unless every value of `arr` is finite."""
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
 
@@ -115,8 +119,6 @@ def conv2d(x, kernel, bias=None, stride=1):
 
     kernel has shape (kw, kh, d_in, d_out); bias, when given, shape (d_out,).
     """
-    x = _as_tensor(x)
-    kernel = _as_tensor(kernel)
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be rank 4, got shape {x.shape}")
     if kernel.data.ndim != 4:
@@ -141,7 +143,6 @@ def conv2d(x, kernel, bias=None, stride=1):
     out = cols @ kmat
     parents = [x, kernel]
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.shape != (d_out,):
             raise ValueError(f"bias shape {bias.shape} != ({d_out},)")
         out = out + bias.data
@@ -171,7 +172,6 @@ def conv2d(x, kernel, bias=None, stride=1):
 
 def gap(x):
     """Global average pooling over the spatial dims: (N, W, H, D) -> (N, D)."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError(f"gap input must be rank 4, got shape {x.shape}")
     n, w, h, d = x.shape
@@ -197,7 +197,6 @@ def _upsample_indices(size):
 
 def bilinear_upsample2x(x):
     """Double the spatial dims by bilinear interpolation (half-pixel centers)."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError(f"upsample input must be rank 4, got shape {x.shape}")
     n, w, h, d = x.shape
@@ -231,7 +230,6 @@ def bilinear_upsample2x(x):
 
 
 def relu(x):
-    x = _as_tensor(x)
     mask = x.data > 0
     return Tensor(
         x.data * mask,
@@ -242,7 +240,6 @@ def relu(x):
 
 def concat_channels(a, b):
     """Concatenate two (N, W, H, D) maps along the channel axis."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[:3] != b.shape[:3]:
         raise ValueError(f"spatial mismatch: {a.shape} vs {b.shape}")
     da = a.shape[3]
@@ -256,14 +253,12 @@ def concat_channels(a, b):
 
 def mul_const(x, const):
     """Multiply by a constant array (no gradient flows into the constant)."""
-    x = _as_tensor(x)
     c = np.asarray(const, dtype=np.float64)
     return Tensor(x.data * c, parents=[x], backward_fn=lambda g: [g * c])
 
 
 def matvec(x, w):
     """Per-sample dot product: (N, D) @ (D,) -> (N,)."""
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 1 or x.shape[1] != w.shape[0]:
         raise ValueError(f"matvec shape mismatch: {x.shape} vs {w.shape}")
     out = x.data @ w.data
@@ -279,8 +274,7 @@ def sigmoid_bce(logits, labels):
 
     loss_i = max(z, 0) - z*y + log(1 + exp(-|z|)); gradient sigma(z) - y.
     """
-    logits = _as_tensor(logits)
-    _check_finite("logits", logits.data)
+    check_finite("logits", logits.data)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != logits.shape:
         raise ValueError(f"label shape {y.shape} != logit shape {logits.shape}")
@@ -298,7 +292,6 @@ def sigmoid_bce(logits, labels):
 
 def l2_norm(x):
     """||x||_2 over all elements, with zero subgradient at the origin."""
-    x = _as_tensor(x)
     norm = float(np.sqrt(np.sum(x.data**2)))
 
     def backward(g):
@@ -310,28 +303,24 @@ def l2_norm(x):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return Tensor(a.data - b.data, parents=[a, b], backward_fn=lambda g: [g, -g])
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return Tensor(a.data + b.data, parents=[a, b], backward_fn=lambda g: [g, g])
 
 
 def scale(x, alpha):
-    x = _as_tensor(x)
     alpha = float(alpha)
     return Tensor(x.data * alpha, parents=[x], backward_fn=lambda g: [g * alpha])
 
 
 def mean_of(tensors):
     """Arithmetic mean of equally shaped tensors (used for loss averaging)."""
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("mean_of requires at least one tensor")
     k = len(tensors)
@@ -345,7 +334,6 @@ def mean_of(tensors):
 
 def stack_vectors(tensors):
     """Stack K same-length (N,) tensors into an (N, K) matrix."""
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("stack_vectors requires at least one tensor")
     out = np.stack([t.data for t in tensors], axis=1)

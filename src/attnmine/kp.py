@@ -87,4 +87,7 @@ def gap_drift(net_frozen, net_updating, images):
     far fine-tuning moved the network from its snapshot.
     """
     a, b = (net.gap_rows(images, DEFAULT_LAYERS) for net in (net_frozen, net_updating))
-    return {name: float(_gap_distance(a[name], b[name]).data) for name in DEFAULT_LAYERS}
+    return {
+        name: float(_gap_distance(ad.Tensor(a[name]), ad.Tensor(b[name])).data)
+        for name in DEFAULT_LAYERS
+    }

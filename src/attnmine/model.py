@@ -256,7 +256,10 @@ class Network:
 
 
 def save_checkpoint(path, network):
+    """Write `network` to `path`; a non-finite parameter raises ValueError and writes nothing."""
     arrays = {k: v.data for k, v in network.params.items()}
+    for k, arr in arrays.items():
+        ad.check_finite(f"parameter {k}", arr)
     config = network.config
     # format 1 stores use_msa as 0/1
     meta = {
@@ -284,8 +287,7 @@ def load_checkpoint(path):
                 stored = data[k]
                 if stored.shape != p.data.shape:
                     raise ValueError(f"{k} has shape {stored.shape}, expected {p.data.shape}")
-                if not np.all(np.isfinite(stored)):
-                    raise ValueError(f"{k} contains non-finite values")
+                ad.check_finite(f"parameter {k}", stored)
                 net.params[k] = Tensor(stored.astype(np.float64), requires_grad=True)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None

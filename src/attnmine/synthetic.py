@@ -156,12 +156,13 @@ def write_image_pgm(path, image):
 
 
 def save_dataset(out_dir, images, manifest):
+    """Write `images[k]` under the k-th distinct image id in manifest order, as generated."""
     out_dir = Path(out_dir)
     img_dir = out_dir / "images"
     img_dir.mkdir(parents=True, exist_ok=True)
-    ids = sorted({rec["image_id"] for rec in manifest})
-    for idx, image_id in enumerate(ids):
-        write_image_pgm(img_dir / f"{image_id}.pgm", images[idx])
+    ids = dict.fromkeys(rec["image_id"] for rec in manifest)
+    for image, image_id in zip(images, ids):
+        write_image_pgm(img_dir / f"{image_id}.pgm", image)
     evalloc.write_ground_truth(out_dir / "manifest.jsonl", manifest)
 
 

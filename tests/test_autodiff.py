@@ -226,6 +226,19 @@ class TestBackward:
             if was_enabled:
                 gc.enable()
 
+    def test_array_for_a_tensor_argument_raises(self):
+        # an op never turns an array into a leaf: passing a parameter's
+        # .data would otherwise run and leave its gradient None
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 6, 6, 1)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3, 1, 2)), requires_grad=True)
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            ad.conv2d(x, k.data)
+        rows = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=3), requires_grad=True)
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            ad.l2_norm(ad.matvec(rows, w.data)).backward()
+
 
 def _small_net(seed):
     cfg = BackboneConfig(

@@ -19,7 +19,7 @@ from attnmine.cli import RunConfig, main
 from attnmine.evalloc import EvalConfig, read_ground_truth, read_predictions
 from attnmine.kp import KPConfig
 from attnmine.mining import MiningConfig, run_am
-from attnmine.model import BackboneConfig, load_checkpoint, save_checkpoint
+from attnmine.model import BackboneConfig, load_checkpoint
 from attnmine.synthetic import DatasetConfig, load_dataset, read_image_pgm
 
 # a deliberately tiny configuration so pipeline tests stay fast
@@ -282,6 +282,19 @@ class TestTrain:
         assert err.startswith("error:schema: ") and str(path) in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_parameters_are_not_saved(self, tmp_path, dataset, capsys):
+        # one 12-image batch per epoch: the first step moves only the
+        # zero-initialized branches, the second overflows the backbone
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps({**SMALL, "lr": 1e308, "batch_size": 16}))
+        out = tmp_path / "m"
+        assert main(["train", "--config", str(config), "--data", str(dataset), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:runtime: ") and "stage0_w" in err and err.count("\n") == 1
+        assert not (out / "baseline.npz").exists() and not (out / "loss_log.csv").exists()
+
     def test_missing_dataset_rejected(self, tmp_path, small_config, capsys):
         code = main(["train", "--config", small_config, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "m")])
         assert code == 2
@@ -427,10 +440,12 @@ class TestMine:
         assert not out.exists()
 
     def test_non_finite_checkpoint_rejected(self, tmp_path, dataset, small_config, trained, capsys):
-        net = load_checkpoint(trained)
-        net.params["stage0_w"].data[0, 0, 0, 0] = np.nan
+        # save_checkpoint refuses non-finite parameters, so write the arrays directly
+        with np.load(trained) as data:
+            arrays = dict(data)
+        arrays["stage0_w"][0, 0, 0, 0] = np.nan
         checkpoint = tmp_path / "nan.npz"
-        save_checkpoint(checkpoint, net)
+        np.savez(checkpoint, **arrays)
         out = tmp_path / "m"
         code = main(["mine", "--config", small_config, "--checkpoint", str(checkpoint), "--data", str(dataset), "--out", str(out)])
         assert code == 2

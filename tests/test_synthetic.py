@@ -143,6 +143,22 @@ class TestImageIo:
         assert labels.shape == (6, 4)
         assert recs == manifest
 
+    def test_dataset_roundtrip_keeps_pixels_with_ids_past_9999(self, tmp_path):
+        # "img10000" sorts between "img1000" and "img1001": images are
+        # written in manifest order, not in the order their ids sort
+        gen_ids = ["img9999", "img10000", "img10001"]
+        imgs = np.stack([np.full((8, 8), v / 255) for v in (40, 120, 200)])
+        manifest = [
+            {"image_id": iid, "class": 0, "boxes": [], "labels": [k % 2]}
+            for k, iid in enumerate(gen_ids)
+        ]
+        save_dataset(tmp_path / "ds", imgs, manifest)
+        ids, images, labels, _ = load_dataset(tmp_path / "ds", 1)
+        for iid, image, label in zip(ids, images, labels):
+            k = gen_ids.index(iid)
+            np.testing.assert_array_equal(image, imgs[k], err_msg=iid)
+            assert label.tolist() == [k % 2]
+
 
 def test_config_validation():
     with pytest.raises(ValueError):

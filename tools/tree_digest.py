@@ -14,7 +14,10 @@ source trees produce the same bytes.
 The config covers a one-sample last training batch (17 images at batch size
 8), fine-tuning phases of 2, 1 and 1 epochs (4 epochs over 3 mining steps)
 and an eval split of two chunks (10 images), so `mine` writes its PGMs
-through its forked helper.  Only the standard library is used.
+through its forked helper.  One more ``mine --kp full`` on the same
+checkpoint runs at batch size 16 (``config-one-chunk.json``), where the
+eval split is one chunk and `mine` writes its PGMs in-process.  Only the
+standard library is used.
 """
 
 import hashlib
@@ -32,7 +35,11 @@ CONFIG = {
     "finetune_epochs": 4,
     "am_steps": 3,
 }
-CONFIGS = {"config.json": CONFIG, "config-plain.json": {**CONFIG, "use_msa": False}}
+CONFIGS = {
+    "config.json": CONFIG,
+    "config-plain.json": {**CONFIG, "use_msa": False},
+    "config-one-chunk.json": {**CONFIG, "batch_size": 16},
+}
 
 
 def _steps():
@@ -48,6 +55,10 @@ def _steps():
             "eval", "--predictions", f"mine-{mode}/predictions.jsonl",
             "--ground-truth", "data/eval/manifest.jsonl", "--out", f"eval-{mode}",
         ], "config.json"
+    yield "mine-one-chunk", [
+        "mine", "--checkpoint", "model/baseline.npz", "--data", "data",
+        "--kp", "full", "--out", "mine-one-chunk",
+    ], "config-one-chunk.json"
     yield "train-plain", ["train", "--data", "data", "--out", "model-plain"], "config-plain.json"
     yield "mine-plain-full", [
         "mine", "--checkpoint", "model-plain/baseline.npz", "--data", "data",
