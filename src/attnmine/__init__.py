@@ -13,13 +13,17 @@ _PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def atomic_write_bytes(path, payload):
-    """Write `payload` to a temp file beside `path` (mode 0o666 less umask), then rename it."""
+    """Write `payload` to a temp file beside `path` (mode 0o666 less umask), then rename it;
+    the one creator of output directories, it makes missing ones with their first file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
         fd = os.open(tmp, flags, 0o666)
     except FileExistsError:  # left behind by a killed process that had our pid
         os.unlink(tmp)
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:  # the first file of its directory
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
         fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:

@@ -30,12 +30,16 @@ class Tensor:
 
     A Tensor argument of an op is a node of the graph, and a constant is
     an explicit array argument (`mul_const`'s `const`, `sigmoid_bce`'s
-    `labels`).  An array passed where a Tensor belongs raises.
+    `labels`).  An array passed where a Tensor belongs raises at the op
+    call: a TypeError naming its type, unless the op's forward fails first.
     """
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         parents = tuple(parents)
+        for p in parents:
+            if not isinstance(p, Tensor):
+                raise TypeError(f"an autodiff op takes Tensors, not {type(p).__name__}")
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.grad = None
         self._parents = parents if self.requires_grad else ()

@@ -77,11 +77,11 @@ class RunConfig:
         """Defaults, then the JSON object at `path`, then the non-None overrides.
 
         Every value must have its default's JSON type (an int also serves
-        for a float), be finite and make valid sub-configs; `batch_size`,
-        `epochs` and the split counts must be >= 1, `seed` and
-        `finetune_epochs` >= 0, both learning rates > 0, and `image_size` a
-        positive multiple of the backbone's stride product; else
-        CommandError("config").
+        for a float, and is stored as one), be finite and make valid
+        sub-configs; `batch_size`, `epochs` and the split counts must be
+        >= 1, `seed` and `finetune_epochs` >= 0, both learning rates > 0,
+        and `image_size` a positive multiple of the backbone's stride
+        product; else CommandError("config").
         """
         data = {}
         if path:
@@ -102,9 +102,14 @@ class RunConfig:
             if not _same_json_type(value, default):
                 kind = type(default).__name__
                 raise CommandError("config", f"{key} must be of type {kind}, not {value!r}")
-            items = value if isinstance(value, list) else [value]
-            if not all(math.isfinite(v) for v in items if isinstance(v, float)):
-                raise CommandError("config", f"{key} must be finite, not {value!r}")
+            if isinstance(default[0] if isinstance(default, list) else default, float):
+                try:
+                    items = [float(v) for v in (value if isinstance(value, list) else [value])]
+                except OverflowError:  # a JSON integer beyond float range
+                    raise CommandError("config", f"{key} must be finite")
+                if not all(map(math.isfinite, items)):
+                    raise CommandError("config", f"{key} must be finite, not {value!r}")
+                data[key] = items if isinstance(value, list) else items[0]
         config = cls(**data)
         for key, low in (
             ("batch_size", 1), ("train_count", 1), ("eval_count", 1), ("seed", 0),
@@ -192,7 +197,6 @@ def write_run_manifest(out_dir, config, command):
 def cmd_gen_data(args, config, out):
     if out.exists() and any(out.iterdir()) and not args.force:
         raise CommandError("exists", f"output dir {out} is not empty; use --force")
-    out.mkdir(parents=True, exist_ok=True)
     ds_config = config.dataset_config()
     for split, count, seed_offset in (
         ("train", config.train_count, 0),
@@ -211,7 +215,6 @@ def cmd_train(args, config, out):
         backbone.check_input_dims(images.shape[1:], f"{split}: image")
     except ValueError as exc:
         raise CommandError("schema", str(exc))
-    out.mkdir(parents=True, exist_ok=True)
     net = Network(backbone, seed=config.seed)
     history = train_baseline(
         net,
@@ -238,7 +241,6 @@ def cmd_mine(args, config, out):
             net.config.check_input_dims(images.shape[1:], f"{data_dir / split}: image")
     except ValueError as exc:
         raise CommandError("schema", str(exc))
-    out.mkdir(parents=True, exist_ok=True)
     mining_config = config.mining_config()
     log = am_finetune(
         net,
@@ -252,7 +254,6 @@ def cmd_mine(args, config, out):
         shuffle_seed=config.seed,
     )
     hm_dir = out / "heatmaps"
-    hm_dir.mkdir(exist_ok=True)
     eval_config = config.eval_config()
     boxes = []
     # one forked helper creates each chunk's PGM files, which costs kernel
@@ -305,7 +306,6 @@ def cmd_eval(args, config, out):
         by_class.setdefault(box.cls, []).append(box)
     pools = {cls: build_pool(boxes) for cls, boxes in by_class.items()}
     rows, skipped = evaluate_report(pools, gt_by_class, config.eval_config())
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
     write_report_csv(report_path, rows)
     for cls in skipped:

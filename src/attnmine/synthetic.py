@@ -159,7 +159,6 @@ def save_dataset(out_dir, images, manifest):
     """Write `images[k]` under the k-th distinct image id in manifest order, as generated."""
     out_dir = Path(out_dir)
     img_dir = out_dir / "images"
-    img_dir.mkdir(parents=True, exist_ok=True)
     ids = dict.fromkeys(rec["image_id"] for rec in manifest)
     for image, image_id in zip(images, ids):
         write_image_pgm(img_dir / f"{image_id}.pgm", image)

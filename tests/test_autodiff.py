@@ -234,10 +234,11 @@ class TestBackward:
         k = Tensor(rng.normal(size=(3, 3, 1, 2)), requires_grad=True)
         with pytest.raises((AttributeError, TypeError, ValueError)):
             ad.conv2d(x, k.data)
+        # an op whose forward runs on an array raises at the call, naming its type
         rows = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=3), requires_grad=True)
-        with pytest.raises((AttributeError, TypeError, ValueError)):
-            ad.l2_norm(ad.matvec(rows, w.data)).backward()
+        with pytest.raises(TypeError, match="ndarray"):
+            ad.matvec(rows, w.data)
 
 
 def _small_net(seed):

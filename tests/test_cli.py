@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import attnmine
 from attnmine.autodiff import Tensor
-from attnmine.cli import RunConfig, main
+from attnmine.cli import CommandError, RunConfig, main
 from attnmine.evalloc import EvalConfig, read_ground_truth, read_predictions
 from attnmine.kp import KPConfig
 from attnmine.mining import MiningConfig, run_am
@@ -156,6 +157,11 @@ class TestRunConfig:
             ("stage_channels", [-1, 16, 32, 64]),
             ("stage_strides", [1, 2, 2, 1]),
             ("stage_strides", [2, 2, 2, 1]),
+            # a JSON integer beyond float range
+            *[
+                pytest.param(key, 10**400, id=f"{key}-401-digits")
+                for key in ("lr", "finetune_lr", "kp_weight", "afp_upper_bound")
+            ],
             *[
                 (key, value)
                 for nonfinite in (float("nan"), float("inf"), float("-inf"))
@@ -174,6 +180,39 @@ class TestRunConfig:
         path.write_text(json.dumps({key: value}))
         for command in COMMANDS:
             assert key in config_error(capsys, tmp_path, command, "--config", str(path))
+
+    def test_int_for_a_float_is_stored_as_a_float(self, tmp_path):
+        # one run, one config hash: {"lr": 1} and {"lr": 1.0} are the same config
+        dumps = set()
+        for text in ('{"lr": 1, "bbox_thresholds": [1, 0.5]}', '{"lr": 1.0, "bbox_thresholds": [1.0, 0.5]}'):
+            path = tmp_path / "c.json"
+            path.write_text(text)
+            config = RunConfig.load(str(path))
+            assert type(config.lr) is float and type(config.bbox_thresholds[0]) is float
+            dumps.add(json.dumps(asdict(config), sort_keys=True))
+        assert len(dumps) == 1
+
+    @settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        key=st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+        value=st.sampled_from([
+            math.nan, math.inf, -math.inf, -0.0, 1e308, 2**63, 10**400, "", [], {}, None, True,
+        ]),
+    )
+    def test_hostile_value_is_config_error_or_finite_config(self, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        try:
+            config = RunConfig.load(str(path))
+        except CommandError as exc:
+            assert exc.category == "config"
+            return
+        for name, default in asdict(RunConfig()).items():
+            if isinstance(default[0] if isinstance(default, list) else default, float):
+                got = getattr(config, name)
+                for v in got if isinstance(got, list) else [got]:
+                    assert type(v) is float and math.isfinite(v), name
+        json.dumps(asdict(config), allow_nan=False)
 
     @pytest.mark.parametrize(
         "flags, commands",
@@ -293,7 +332,7 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--data", str(dataset), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:runtime: ") and "stage0_w" in err and err.count("\n") == 1
-        assert not (out / "baseline.npz").exists() and not (out / "loss_log.csv").exists()
+        assert not out.exists()
 
     def test_missing_dataset_rejected(self, tmp_path, small_config, capsys):
         code = main(["train", "--config", small_config, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "m")])
@@ -473,6 +512,20 @@ class TestMine:
         code = main(["mine", "--config", small_config, "--checkpoint", str(tmp_path / "no.npz"), "--data", str(dataset), "--out", str(tmp_path / "m")])
         assert code == 2
         assert "error:missing-input" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("key", ["finetune_lr", "kp_weight"])
+    def test_overflowing_finetune_leaves_no_out(self, tmp_path, dataset, trained, capsys, key):
+        # a finite but huge value overflows the fine-tuning before mine's first write
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps({**SMALL, key: 1e308}))
+        out = tmp_path / "m"
+        code = main(["mine", "--config", str(config), "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:runtime: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestMissingInput:
@@ -812,6 +865,22 @@ class TestAtomicOutputs:
         assert any(p.name.endswith("_mask.pgm") for p in files)
         assert sorted(files - placed) == []
         assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(0o666 & ~0o027)}
+
+    def test_writer_creates_missing_directories_with_umask_mode(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            attnmine.atomic_write_bytes(tmp_path / "a" / "b" / "f.txt", b"x")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "a" / "b" / "f.txt").read_bytes() == b"x"
+        for d in (tmp_path / "a", tmp_path / "a" / "b"):
+            assert oct(d.stat().st_mode & 0o777) == oct(0o777 & ~0o027)
+        # a path under a file is no directory to create
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(NotADirectoryError):
+            attnmine.atomic_write_bytes(blocker / "sub" / "f.txt", b"x")
+        assert blocker.read_text() == "" and sorted(p.name for p in tmp_path.iterdir()) == ["a", "file"]
 
 
 class TestEntryPoint:

@@ -8,8 +8,9 @@ directory WORK, which must not exist or be empty.  A single-scale backbone
 (``use_msa: false``) gets its own train and ``mine --kp full`` on the same
 data, so the drift regularizer's single-scale path is covered too.  Prints
 one sorted ``sha256  path`` line for every file the run writes and for each
-command's stdout (as ``stdout/<step>``).  Two listings that `diff` clean mean the two
-source trees produce the same bytes.
+command's stdout (as ``stdout/<step>``), and one ``dir  path/`` line for every
+directory under WORK.  Two listings that `diff` clean mean the two source trees
+produce the same bytes in the same directories.
 
 The config covers a one-sample last training batch (17 images at batch size
 8), fine-tuning phases of 2, 1 and 1 epochs (4 epochs over 3 mining steps)
@@ -84,8 +85,11 @@ def main(argv):
             sys.exit(f"{name} exited {run.returncode}: {run.stderr.decode().strip()}")
         digests[f"stdout/{name}"] = hashlib.sha256(run.stdout).hexdigest()
     for path in work.rglob("*"):
-        if path.is_file():
-            digests[path.relative_to(work).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        name = path.relative_to(work).as_posix()
+        if path.is_dir():
+            digests[f"{name}/"] = "dir"
+        elif path.is_file():
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     for path in sorted(digests):
         print(f"{digests[path]}  {path}")
 
