@@ -103,11 +103,16 @@ def check_finite(name, arr):
 
 
 def _pad_same(x, kw, kh):
+    """`x` zero-padded for a "same" kw x kh kernel, and its pads; `x` itself for a 1x1 kernel."""
     pw0 = (kw - 1) // 2
-    pw1 = kw - 1 - pw0
     ph0 = (kh - 1) // 2
-    ph1 = kh - 1 - ph0
-    return np.pad(x, ((0, 0), (pw0, pw1), (ph0, ph1), (0, 0))), (pw0, pw1, ph0, ph1)
+    pads = (pw0, kw - 1 - pw0, ph0, kh - 1 - ph0)
+    if kw == kh == 1:
+        return x, pads
+    n, w, h, d = x.shape
+    xp = np.zeros((n, w + kw - 1, h + kh - 1, d), dtype=x.dtype)
+    xp[:, pw0 : pw0 + w, ph0 : ph0 + h] = x
+    return xp, pads
 
 
 def _im2col(xp, kw, kh, stride, ow, oh):
@@ -149,7 +154,7 @@ def conv2d(x, kernel, bias=None, stride=1):
     if bias is not None:
         if bias.shape != (d_out,):
             raise ValueError(f"bias shape {bias.shape} != ({d_out},)")
-        out = out + bias.data
+        out += bias.data
         parents.append(bias)
 
     def backward(g):
@@ -182,8 +187,7 @@ def gap(x):
     out = x.data.mean(axis=(1, 2))
 
     def backward(g):
-        gx = np.broadcast_to(g[:, None, None, :], (n, w, h, d)) / (w * h)
-        return [gx.copy()]
+        return [np.broadcast_to((g / (w * h))[:, None, None, :], (n, w, h, d)).copy()]
 
     return Tensor(out, parents=[x], backward_fn=backward)
 
@@ -197,6 +201,13 @@ def _upsample_indices(size):
     i1 = np.minimum(i0 + 1, size - 1)
     frac = src - i0
     return i0, i1, frac
+
+
+def _rank_groups(idx):
+    """Positions of the non-decreasing `idx` grouped by rank, the count of
+    earlier positions with the same value: [rank 0 positions, rank 1, ...]."""
+    rank = np.arange(len(idx)) - np.searchsorted(idx, idx)
+    return [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
 
 
 def bilinear_upsample2x(x):
@@ -221,13 +232,19 @@ def bilinear_upsample2x(x):
     out = sample(x.data)
 
     def backward(g):
+        # the adds reach each input pixel in row-major order of the output
+        # pixels that sample it, as np.add.at would: rank groups have unique
+        # targets, and visiting (w rank, h rank) in row-major order keeps
+        # each pixel's (i, j) order
         gx = np.zeros_like(x.data)
         ww = [(wi0, 1 - wf), (wi1, wf)]
         hh = [(hi0, 1 - hf), (hi1, hf)]
         for widx, wwt in ww:
             for hidx, hwt in hh:
                 contrib = g * wwt * hwt
-                np.add.at(gx, (slice(None), widx[:, None], hidx[None, :]), contrib)
+                for rw in _rank_groups(widx):
+                    for rh in _rank_groups(hidx):
+                        gx[:, widx[rw][:, None], hidx[rh]] += contrib[:, rw[:, None], rh]
         return [gx]
 
     return Tensor(out, parents=[x], backward_fn=backward)

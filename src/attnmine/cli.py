@@ -273,6 +273,11 @@ def cmd_mine(args, config, out):
             chunk = [(eval_ids[start + i], c, hm, mask) for i, c, hm, mask in mined]
             if len(starts) > 1:
                 writes.append(writer.submit(_write_pgms, hm_dir, chunk))
+                # a write that has already failed stops the mining here; a
+                # pending one is not waited for, which costs the overlap
+                for write in writes:
+                    if write.done():
+                        write.result()
             else:
                 _write_pgms(hm_dir, chunk)
             for image_id, c, hm, _ in chunk:

@@ -53,8 +53,8 @@ class EvalConfig:
         t = list(self.bbox_thresholds)
         if any(a <= b for a, b in zip(t, t[1:])):
             raise ValueError("bbox_thresholds must be strictly decreasing")
-        if any(not 0 < v <= 1 for v in t):
-            raise ValueError(f"bbox_thresholds must lie in (0, 1], not {t}")
+        if not t or any(not 0 < v <= 1 for v in t):
+            raise ValueError(f"bbox_thresholds must be non-empty and lie in (0, 1], not {t}")
         ious = list(self.iou_thresholds)
         if not ious or any(not 0 < v <= 1 for v in ious):
             raise ValueError(f"iou_thresholds must be non-empty and lie in (0, 1], not {ious}")

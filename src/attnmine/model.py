@@ -249,7 +249,8 @@ class Network:
                 )
             if not np.all((mask == 0) | (mask == 1)):
                 raise ValueError("erasure mask must be binary")
-            erased = ad.mul_const(feat, mask[..., None])
+            # an all-ones mask erases nothing: feat * 1.0 and g * 1.0 are feat and g
+            erased = feat if mask.all() else ad.mul_const(feat, mask[..., None])
             logits = self.branch_logits(erased, c)
             losses.append(ad.sigmoid_bce(logits, labels[:, c]))
         return ad.mean_of(losses)

@@ -44,6 +44,39 @@ class TestConv2d:
         with pytest.raises(ValueError, match="shape"):
             ad.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))))
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_forward_and_backward_bits_of_the_padded_copy(self, monkeypatch, k, stride):
+        rng = np.random.default_rng(10 * k + stride)
+        x = rng.normal(size=(3, 7, 6, 4))
+        x[0, :2] = 0.0
+        x[1, :, :2] = -0.0
+        kernel, bias = rng.normal(size=(k, k, 4, 5)), rng.normal(size=5)
+        g = rng.normal(size=(3, -(-7 // stride), -(-6 // stride), 5))
+        g[2, :1] = -0.0
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            kt, bt = Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)
+            out = ad.conv2d(xt, kt, bt, stride=stride)
+            out.backward(g)
+            return [a.tobytes() for a in (out.data, xt.grad, kt.grad, bt.grad)]
+
+        fast = run()
+        monkeypatch.setattr(ad, "_pad_same", _pad_same_copy)
+        assert fast == run()
+
+    def test_1x1_conv_leaves_its_input_unmodified(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 5, 4, 3))
+        before = x.tobytes()
+        assert ad._pad_same(x, 1, 1)[0] is x
+        xt = Tensor(x, requires_grad=True)
+        ad.conv2d(xt, Tensor(rng.normal(size=(1, 1, 3, 2))), Tensor(np.ones(2))).backward(
+            np.ones((2, 5, 4, 2))
+        )
+        assert xt.data is x and x.tobytes() == before
+
     def test_linearity(self):
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(2, 1, 6, 6, 2))
@@ -54,6 +87,13 @@ class TestConv2d:
             Tensor(y), Tensor(k)
         ).data
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def _pad_same_copy(x, kw, kh):
+    """The np.pad reference of `ad._pad_same`: a padded copy, a 1x1 kernel's included."""
+    pw0, ph0 = (kw - 1) // 2, (kh - 1) // 2
+    pads = (pw0, kw - 1 - pw0, ph0, kh - 1 - ph0)
+    return np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0))), pads
 
 
 def _im2col_loop(xp, kw, kh, stride, ow, oh):
@@ -108,8 +148,43 @@ class TestGap:
         rhs = 0.3 * ad.gap(Tensor(x)).data - 2.0 * ad.gap(Tensor(y)).data
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n, w, h, d", [(1, 1, 1, 1), (2, 3, 5, 4), (16, 16, 16, 48)])
+    def test_backward_bits_of_the_two_pass_formula(self, n, w, h, d):
+        rng = np.random.default_rng(w * h)
+        out = ad.gap(Tensor(rng.normal(size=(n, w, h, d)), requires_grad=True))
+        g = rng.normal(size=(n, d))
+        g[0, :1] = -0.0
+        two_pass = (np.broadcast_to(g[:, None, None, :], (n, w, h, d)) / (w * h)).copy()
+        assert out._backward_fn(g)[0].tobytes() == two_pass.tobytes()
+
+
+def _upsample_backward_add_at(x, g):
+    """The np.add.at reference of the upsample backward: every output pixel's
+    four weighted taps, one (w, h) weight pair after another."""
+    wi0, wi1, wf = ad._upsample_indices(x.shape[1])
+    hi0, hi1, hf = ad._upsample_indices(x.shape[2])
+    wf = wf[:, None, None]
+    hf = hf[None, :, None]
+    gx = np.zeros_like(x)
+    for widx, wwt in [(wi0, 1 - wf), (wi1, wf)]:
+        for hidx, hwt in [(hi0, 1 - hf), (hi1, hf)]:
+            np.add.at(gx, (slice(None), widx[:, None], hidx[None, :]), g * wwt * hwt)
+    return gx
+
 
 class TestBilinearUpsample:
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (3, 5, 7, 2), (2, 2, 9, 1), (16, 8, 8, 32)])
+    def test_backward_bits_of_add_at(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        out = ad.bilinear_upsample2x(Tensor(x, requires_grad=True))
+        g = rng.normal(size=out.shape) * 1e3
+        g[rng.random(g.shape) < 0.2] = 0.0
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[0, :2] = -0.0
+        gx = out._backward_fn(g)[0]
+        assert gx.tobytes() == _upsample_backward_add_at(x, g).tobytes()
+
     def test_constant_1x1(self):
         out = ad.bilinear_upsample2x(Tensor(np.full((1, 1, 1, 1), 5.0)))
         assert out.shape == (1, 2, 2, 1)

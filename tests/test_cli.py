@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from attnmine.kp import KPConfig
 from attnmine.mining import MiningConfig, run_am
 from attnmine.model import BackboneConfig, load_checkpoint
 from attnmine.synthetic import DatasetConfig, load_dataset, read_image_pgm
+from attnmine.train import mine_final_heatmaps
 
 # a deliberately tiny configuration so pipeline tests stay fast
 SMALL = {
@@ -146,6 +148,7 @@ class TestRunConfig:
             ("msa_reduced_channels", []),
             ("bbox_thresholds", [1.5]),
             ("bbox_thresholds", [0.5, 0.0]),
+            ("bbox_thresholds", []),
             ("epochs", -1),
             ("epochs", 0),
             ("finetune_epochs", -2),
@@ -392,6 +395,51 @@ class TestMine:
         # a failed run leaves no file that a finished one writes after its PGMs
         for name in ("mined.npz", "predictions.jsonl", "finetune_log.json"):
             assert not (tmp_path / "m" / name).exists()
+
+    def test_failed_pgm_write_stops_the_mining(self, tmp_path, dataset, trained, capsys, monkeypatch):
+        # a writer whose futures finish inside submit: the first chunk's
+        # write has failed before the second chunk would be mined
+        class InlineExecutor:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+        def full_disk(path, mask):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        mined_chunks = []
+
+        def counted(*args, **kwargs):
+            mined_chunks.append(1)
+            return mine_final_heatmaps(*args, **kwargs)
+
+        monkeypatch.setattr("attnmine.cli.ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr("attnmine.cli.write_mask_pgm", full_disk)
+        monkeypatch.setattr("attnmine.cli.mine_final_heatmaps", counted)
+        # 6 eval images make three chunks at batch size 2
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps({**SMALL, "finetune_epochs": 0, "batch_size": 2}))
+        out = tmp_path / "m"
+        code = main(["mine", "--config", str(config), "--checkpoint", str(trained), "--data", str(dataset), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:runtime: ") and err.count("\n") == 1
+        assert len(mined_chunks) == 1
+        for name in ("mined.npz", "predictions.jsonl"):
+            assert not (out / name).exists()
 
     def test_forked_and_in_process_writes_match(self, tmp_path, dataset, trained):
         # 6 eval images: two chunks at batch size 4, written by the forked

@@ -3,6 +3,7 @@ import pytest
 
 from attnmine import autodiff as ad
 from attnmine.autodiff import Tensor
+from attnmine.kp import kp_layer_loss
 from attnmine.model import (
     BackboneConfig,
     Network,
@@ -183,6 +184,45 @@ class TestErasureIdentities:
         ]
         unmasked = ad.mean_of(losses)
         assert float(masked.data) == float(unmasked.data)  # bit-exact
+
+    @pytest.mark.parametrize("use_msa", [True, False])
+    def test_all_ones_masks_keep_the_bits_of_a_product_for_every_class(self, use_msa):
+        # a class whose mask is all ones reads the map itself; the loss and
+        # every parameter gradient, a drift term's included, must keep the
+        # bits of multiplying each class's mask in
+        cfg = BackboneConfig(
+            stage_channels=[3, 4, 5], stage_strides=[1, 2, 2],
+            msa_reduced_channels=(3, 2), num_classes=4, use_msa=use_msa,
+        )
+        net = Network(cfg, seed=4)
+        rng = np.random.default_rng(10)
+        for c in range(4):
+            net.branch_weight(c).data[:] = rng.normal(size=cfg.feature_channels)
+        frozen = net.snapshot()
+        for p in net.param_list():
+            p.data += rng.normal(0, 0.05, p.data.shape)
+        image = rng.uniform(0, 1, (3, 16, 16, 1))
+        side = 8 if use_msa else 4
+        masks = np.ones((4, 3, side, side))
+        masks[1] = rng.random((3, side, side)) < 0.7
+        masks[3, 0, :2, :2] = 0
+        labels = rng.integers(0, 2, (3, 4)).astype(float)
+
+        def every_product(feat):
+            return ad.mean_of([
+                ad.sigmoid_bce(net.branch_logits(ad.mul_const(feat, m[..., None]), c), labels[:, c])
+                for c, m in enumerate(masks)
+            ])
+
+        def bits(cls_loss_of):
+            net.zero_grad()
+            feat = net.forward_features(image)
+            cls_loss = cls_loss_of(feat)
+            kp_loss = kp_layer_loss(frozen.forward_features(image), feat)
+            ad.add(cls_loss, ad.scale(kp_loss, 0.5)).backward()
+            return [cls_loss.data.tobytes()] + [p.grad.tobytes() for p in net.param_list()]
+
+        assert bits(lambda feat: net.classification_loss(feat, masks, labels)) == bits(every_product)
 
     def test_annihilation_where_mask_zero(self):
         rng = np.random.default_rng(8)

@@ -17,8 +17,11 @@ The config covers a one-sample last training batch (17 images at batch size
 and an eval split of two chunks (10 images), so `mine` writes its PGMs
 through its forked helper.  One more ``mine --kp full`` on the same
 checkpoint runs at batch size 16 (``config-one-chunk.json``), where the
-eval split is one chunk and `mine` writes its PGMs in-process.  Only the
-standard library is used.
+eval split is one chunk and `mine` writes its PGMs in-process.  A second
+data set of 56x56 images (``config-56.json``, the smallest size
+``gen-data`` accepts whose 7x7 deep map is odd) gets its own train and
+``mine --kp full``, so the 2x upsample runs at a second, odd map size.
+Only the standard library is used.
 """
 
 import hashlib
@@ -40,6 +43,7 @@ CONFIGS = {
     "config.json": CONFIG,
     "config-plain.json": {**CONFIG, "use_msa": False},
     "config-one-chunk.json": {**CONFIG, "batch_size": 16},
+    "config-56.json": {**CONFIG, "image_size": 56},
 }
 
 
@@ -65,6 +69,12 @@ def _steps():
         "mine", "--checkpoint", "model-plain/baseline.npz", "--data", "data",
         "--kp", "full", "--out", "mine-plain-full",
     ], "config-plain.json"
+    yield "gen-data-56", ["gen-data", "--out", "data-56"], "config-56.json"
+    yield "train-56", ["train", "--data", "data-56", "--out", "model-56"], "config-56.json"
+    yield "mine-56-full", [
+        "mine", "--checkpoint", "model-56/baseline.npz", "--data", "data-56",
+        "--kp", "full", "--out", "mine-56-full",
+    ], "config-56.json"
 
 
 def main(argv):
