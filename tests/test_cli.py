@@ -22,7 +22,7 @@ from attnmine.evalloc import EvalConfig, read_ground_truth, read_predictions
 from attnmine.kp import KPConfig
 from attnmine.mining import MiningConfig, run_am
 from attnmine.model import BackboneConfig, load_checkpoint
-from attnmine.synthetic import DatasetConfig, load_dataset, read_image_pgm
+from attnmine.synthetic import DatasetConfig, load_dataset
 from attnmine.train import mine_final_heatmaps
 
 # a deliberately tiny configuration so pipeline tests stay fast
@@ -627,7 +627,7 @@ class TestImageDims:
     def test_split_images_must_fit_the_backbone(self, tmp_path, dataset, small_config, trained, capsys, command, split):
         # 60 is not a multiple of the default backbone's stride product, 8
         for path in (dataset / split / "images").glob("*.pgm"):
-            attnmine.write_pgm(path, read_image_pgm(path)[:60, :60], 255)
+            attnmine.write_pgm(path, attnmine.read_pgm(path)[:60, :60], 255)
         out = tmp_path / "out"
         argv = {
             "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
@@ -672,7 +672,7 @@ class TestImageDims:
     @pytest.mark.parametrize("command, split", [("train", "train"), ("mine", "train"), ("mine", "eval")])
     def test_mixed_image_sizes_are_schema_error_naming_the_split(self, tmp_path, dataset, small_config, trained, capsys, command, split):
         paths = sorted((dataset / split / "images").glob("*.pgm"))
-        attnmine.write_pgm(paths[2], read_image_pgm(paths[2])[:32, :32], 255)
+        attnmine.write_pgm(paths[2], attnmine.read_pgm(paths[2])[:32, :32], 255)
         out = tmp_path / "out"
         argv = {
             "train": ["train", "--config", small_config, "--data", str(dataset), "--out", str(out)],
@@ -844,7 +844,7 @@ FILE_BYTES = st.one_of(
 class TestReaders:
     @pytest.mark.parametrize(
         "reader",
-        [read_image_pgm, read_predictions, read_ground_truth],
+        [attnmine.read_pgm, read_predictions, read_ground_truth],
         ids=lambda f: f.__name__,
     )
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -873,7 +873,7 @@ class TestReaders:
         path = tmp_path / "f.pgm"
         path.write_bytes(pgm)
         with pytest.raises(ValueError, match=error) as exc:
-            read_image_pgm(path)
+            attnmine.read_pgm(path)
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -883,7 +883,7 @@ class TestReaders:
     def test_pgm_maxval_range_ends_read(self, tmp_path, pgm, expected):
         path = tmp_path / "f.pgm"
         path.write_bytes(pgm)
-        np.testing.assert_array_equal(read_image_pgm(path), expected)
+        np.testing.assert_array_equal(attnmine.read_pgm(path), expected)
 
 
 class TestAtomicOutputs:

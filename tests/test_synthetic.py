@@ -3,16 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attnmine import read_pgm, synthetic, write_pgm
 from attnmine.synthetic import (
     DatasetConfig,
     PATTERN_NAMES,
     _render_pattern,
     generate_dataset,
     load_dataset,
-    read_image_pgm,
     save_dataset,
-    write_image_pgm,
 )
 from attnmine.train import roc_auc
 
@@ -130,8 +131,8 @@ class TestImageIo:
     def test_pgm_roundtrip(self, tmp_path):
         img = np.random.default_rng(9).uniform(0, 1, (16, 16))
         path = tmp_path / "img.pgm"
-        write_image_pgm(path, img)
-        back = read_image_pgm(path)
+        write_pgm(path, img, 255)
+        back = read_pgm(path)
         np.testing.assert_allclose(back, img, atol=1 / 255)
 
     def test_dataset_roundtrip(self, tmp_path):
@@ -158,6 +159,72 @@ class TestImageIo:
             k = gen_ids.index(iid)
             np.testing.assert_array_equal(image, imgs[k], err_msg=iid)
             assert label.tolist() == [k % 2]
+
+
+def _render_pattern_oracle(size, kind, cx, cy, amplitude):
+    """The full-grid renderer that `_render_pattern` replaced."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    dx, dy = xx - cx, yy - cy
+    if kind == "blob":
+        field_ = np.exp(-(dx**2 + dy**2) / (2 * 4.0**2))
+    elif kind == "ring":
+        r = np.sqrt(dx**2 + dy**2)
+        field_ = np.exp(-((r - 10.0) ** 2) / (2 * 1.3**2))
+    elif kind == "bar":
+        field_ = np.exp(-(dx**2) / (2 * 16.0**2) - (dy**2) / (2 * 1.1**2))
+    else:
+        field_ = np.exp(-(dx**2 + dy**2) / (2 * 1.0**2))
+    field_ = field_ * amplitude
+    support = field_ >= field_.max() / 2.0
+    ii, jj = np.nonzero(support)
+    box = [int(jj.min()), int(ii.min()), int(jj.max() - jj.min() + 1), int(ii.max() - ii.min() + 1)]
+    return field_, box
+
+
+def _background_oracle(rng, size, amplitude):
+    """The background that built its blow-up weights for every image."""
+    coarse = rng.uniform(0.0, 1.0, size=(8, 8))
+    xs = np.linspace(0, 7, size)
+    i0 = np.clip(np.floor(xs).astype(int), 0, 6)
+    f = xs - i0
+    rows = coarse[i0] * (1 - f)[:, None] + coarse[i0 + 1] * f[:, None]
+    field_ = rows[:, i0] * (1 - f)[None, :] + rows[:, i0 + 1] * f[None, :]
+    return field_ * amplitude
+
+
+@st.composite
+def _pattern_args(draw):
+    """(size, kind, cx, cy, amplitude): odd and even sizes, any centre on the grid."""
+    size = draw(st.integers(17, 97))
+    cx, cy = (draw(st.floats(0.0, size - 1.0)) for _ in range(2))
+    return size, draw(st.sampled_from(PATTERN_NAMES)), cx, cy, draw(st.floats(0.0, 1.0))
+
+
+class TestOracles:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(args=_pattern_args())
+    def test_render_pattern_matches_full_grid_oracle(self, args):
+        field_, box = _render_pattern(*args)
+        want_field, want_box = _render_pattern_oracle(*args)
+        assert field_.tobytes() == want_field.tobytes()
+        assert box == want_box
+
+    @pytest.mark.parametrize(
+        "size, num_classes, fraction",
+        [(41, 4, 1.0), (56, 3, 0.5), (64, 2, 0.0), (97, 1, 0.5)],
+    )
+    def test_generate_dataset_matches_oracles(self, monkeypatch, size, num_classes, fraction):
+        config = DatasetConfig(size, num_classes, fraction)
+        images, manifest = generate_dataset(9, 40, config)
+        monkeypatch.setattr(synthetic, "_render_pattern", _render_pattern_oracle)
+        monkeypatch.setattr(
+            synthetic,
+            "_background",
+            lambda rng, blowup, amplitude: _background_oracle(rng, len(blowup[0]), amplitude),
+        )
+        want_images, want_manifest = generate_dataset(9, 40, config)
+        assert images.tobytes() == want_images.tobytes()
+        assert json.dumps(manifest) == json.dumps(want_manifest)
 
 
 def test_config_validation():
